@@ -9,6 +9,7 @@
 #include "compcpy/queue.h"
 #include "crypto/tls_record.h"
 #include "smartdimm/deflate_dsa.h"
+#include "smartdimm/extent.h"
 
 namespace sd::compcpy {
 
@@ -383,15 +384,19 @@ CompCpyEngine::copyLines(std::shared_ptr<Flow> flow)
 void
 CompCpyEngine::zeroTrailer(std::shared_ptr<Flow> flow)
 {
-    // TLS only: the record trailer (tag space) belongs to dbuf but is
-    // never written by the memcpy; writing zeros makes those lines
-    // dirty so LLC writebacks self-recycle them like any other line.
+    // The result extent can reach past the lines the memcpy wrote: a
+    // TLS record's tag line(s), or the frame tail of a Deflate page
+    // whose output outgrows its payload. Writing zeros there makes
+    // those lines dirty so the USE-side flush self-recycles them like
+    // any other line and the page frees.
     const CompCpyParams &p = flow->params;
     const std::size_t payload_lines = divCeil(p.size, kCacheLineSize);
+    const std::size_t last_page = flow->dst_pages - 1;
     const std::size_t total_lines =
-        p.ulp == smartdimm::UlpKind::kTlsEncrypt
-            ? flow->dst_pages * kLinesPerPage
-            : payload_lines;
+        last_page * kLinesPerPage +
+        (p.ulp == smartdimm::UlpKind::kTlsEncrypt
+             ? smartdimm::tlsExtentLines(p.size, last_page)
+             : smartdimm::deflateExtentLines(p.size));
 
     if (payload_lines >= total_lines) {
         finishFlow(flow);

@@ -5,6 +5,7 @@
 
 #include "common/log.h"
 #include "smartdimm/deflate_dsa.h"
+#include "smartdimm/extent.h"
 #include "smartdimm/mmio_layout.h"
 
 namespace sd::smartdimm {
@@ -136,7 +137,8 @@ BufferDevice::registerTls(const std::uint8_t *data)
     // fault) unwinds to the pre-registration state.
     std::optional<std::uint32_t> scratch;
     if (!injectFault(fault::Site::kScratchpadExhaust))
-        scratch = scratchpad_.allocate();
+        scratch = scratchpad_.allocate(
+            tlsExtentLines(reg.message_len, reg.page_index));
     if (!scratch) {
         rejectRegistration(reg.dbuf_page);
         return;
@@ -228,7 +230,8 @@ BufferDevice::registerDeflate(const std::uint8_t *data)
     }
     std::optional<std::uint32_t> scratch;
     if (!injectFault(fault::Site::kScratchpadExhaust))
-        scratch = scratchpad_.allocate();
+        scratch = scratchpad_.allocate(
+            deflateExtentLines(reg.payload_bytes));
     if (!scratch) {
         config_memory_.release(*slot);
         rejectRegistration(reg.dbuf_page);
@@ -314,10 +317,14 @@ BufferDevice::materializeResults(std::uint64_t dbuf_page)
         return;
     DestEntry &entry = it->second;
     std::uint8_t line_data[kCacheLineSize];
-    // Visit only lines that became available since the last wakeup
-    // (ascending order, matching the historical full scan). Most
-    // wakeups stage exactly one line.
-    std::uint64_t todo = entry.job->readyMask() & ~entry.staged;
+    // Visit only extent lines that became available since the last
+    // wakeup (ascending order, matching the historical full scan).
+    // Most wakeups stage exactly one line.
+    const std::uint64_t extent_mask =
+        ~std::uint64_t{0} >>
+        (kLinesPerPage - scratchpad_.extentLines(entry.scratch_page));
+    std::uint64_t todo =
+        entry.job->readyMask() & extent_mask & ~entry.staged;
     while (todo) {
         const unsigned line =
             static_cast<unsigned>(std::countr_zero(todo));
@@ -448,9 +455,11 @@ BufferDevice::onRead(const mem::DdrCommand &cmd, std::uint8_t *data)
     }
 
     // Destination page.
+    // A mapping that raced with retirement, or a line past the
+    // page's result extent, behaves as plain DRAM.
     auto dest = dests_.find(page);
-    if (dest == dests_.end()) {
-        // Mapping raced with retirement; treat as plain DRAM.
+    if (dest == dests_.end() ||
+        line >= scratchpad_.extentLines(dest->second.scratch_page)) {
         store_.read(addr, data, kCacheLineSize);
         ++stats_.plain_reads;
         return mem::ReadResponse::kOk;
@@ -498,8 +507,9 @@ BufferDevice::onWrite(const mem::DdrCommand &cmd, const std::uint8_t *data)
     }
 
     if (!scratchpad_.linePending(dest->second.scratch_page, line)) {
-        // The line drained earlier (e.g. a Force-Recycle raced with a
-        // Self-Recycle): the destination behaves as regular memory.
+        // A line past the result extent, or one that drained earlier
+        // (e.g. a Force-Recycle raced with a Self-Recycle): the
+        // destination behaves as regular memory.
         store_.write(addr, data, kCacheLineSize);
         ++stats_.plain_writes;
         return;

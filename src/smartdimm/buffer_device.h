@@ -15,6 +15,8 @@
  *    line, the write is ignored (S7).
  *  - rdCAS in a dbuf range: served from the Scratchpad when staged
  *    (S10); ALERT_N retry when computation is pending (S13).
+ *  - A dbuf line past the page's result extent (smartdimm/extent.h)
+ *    is never staged and behaves as plain DRAM for reads and writes.
  *  - CAS in the MMIO window: config-space access (registration,
  *    freePages, pending list).
  */
@@ -181,9 +183,9 @@ class BufferDevice : public mem::DimmDevice
     void rejectRegistration(std::uint64_t dbuf_page);
     void feedDsa(std::uint64_t sbuf_page, unsigned line,
                  const std::uint8_t *data);
-    /** Stage every currently-available result line of @p dbuf_page. */
+    /** Stage every currently-available extent line of @p dbuf_page. */
     void materializeResults(std::uint64_t dbuf_page);
-    /** Tear down the mappings once @p dbuf_page fully drained. */
+    /** Tear down the mappings once @p dbuf_page's extent drained. */
     void retirePage(std::uint64_t dbuf_page);
 
     EventQueue &events_;

@@ -15,16 +15,17 @@
 #include "common/types.h"
 #include "compress/hw_deflate.h"
 #include "smartdimm/dsa.h"
+#include "smartdimm/extent.h"
 
 namespace sd::smartdimm {
 
 /**
- * Maximum payload per deflate offload page: the 2-byte frame header
- * plus worst-case stored-block expansion (5 bytes) must still fit the
- * single destination page the software registers (Sec. V-C).
+ * Maximum payload per deflate offload page: the frame overhead must
+ * still fit the single destination page the software registers
+ * (Sec. V-C).
  */
 inline constexpr std::size_t kDeflateMaxPayload =
-    kPageSize - 2 - 5;
+    kPageSize - kDeflateFrameOverhead;
 
 /** One page-granular compression offload. */
 class DeflateDsaJob : public DsaJob

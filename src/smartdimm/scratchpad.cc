@@ -16,16 +16,20 @@ Scratchpad::Scratchpad(std::size_t pages) : pages_(pages)
 }
 
 std::optional<std::uint32_t>
-Scratchpad::allocate()
+Scratchpad::allocate(std::size_t lines)
 {
     owner_.check();
+    SD_ASSERT(lines > 0 && lines <= kLinesPerPage,
+              "scratchpad extent of %zu lines", lines);
     if (free_.empty())
         return std::nullopt;
     const std::uint32_t slot = free_.back();
     free_.pop_back();
     Page &page = pages_[slot];
     page.allocated = true;
-    page.pending.set(); // every line awaits drain
+    page.extent = lines;
+    // Every extent line awaits drain.
+    page.pending = ~std::uint64_t{0} >> (kLinesPerPage - lines);
     page.computed.reset();
     page.data.assign(kPageSize, 0);
     ++stats_.allocs;
@@ -82,12 +86,11 @@ Scratchpad::linePending(std::uint32_t page, unsigned line) const
     return p.allocated && p.pending.test(line);
 }
 
-void
-Scratchpad::markComputed(std::uint32_t page, unsigned line)
+std::size_t
+Scratchpad::extentLines(std::uint32_t page) const
 {
-    owner_.check();
-    SD_ASSERT(pages_[page].allocated, "mark on unallocated page");
-    pages_[page].computed.set(line);
+    const Page &p = pages_[page];
+    return p.allocated ? p.extent : 0;
 }
 
 bool

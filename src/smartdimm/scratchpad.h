@@ -3,7 +3,10 @@
  * On-DIMM Scratchpad (Sec. IV-B/IV-C): a 64-byte-addressable SRAM
  * allocated at 4 KB page granularity. DSA results stage here until the
  * LLC's writeback of the destination buffer drains them to DRAM
- * (Self-Recycle); a page frees once every cacheline is drained.
+ * (Self-Recycle). Each page tracks only its result extent — the lines
+ * the offload's result can occupy (smartdimm/extent.h) — and frees
+ * once those lines have drained; lines past the extent are never
+ * pending.
  *
  * Concurrency contract: single-owner. A scratchpad belongs to one
  * buffer device, which belongs to one simulated channel, which is
@@ -36,10 +39,12 @@ struct ScratchpadStats
 };
 
 /**
- * Page-granular scratchpad. Each page tracks per-line state:
+ * Page-granular scratchpad. Each allocated page holds a result extent
+ * of its first `extent` lines and tracks per-line state:
  *  - `computed`: the DSA has produced this line's result
- *  - `pending`:  the line has not yet been drained to DRAM
- * A page recycles when no pending lines remain.
+ *  - `pending`:  an extent line not yet drained to DRAM
+ * A page recycles when no pending lines remain, i.e. once every
+ * extent line has drained.
  */
 class Scratchpad
 {
@@ -47,8 +52,12 @@ class Scratchpad
     /** @param pages capacity in 4 KB pages (paper: 2048). */
     explicit Scratchpad(std::size_t pages);
 
-    /** Allocate one page. @return page slot, or nullopt when full. */
-    std::optional<std::uint32_t> allocate();
+    /**
+     * Allocate one page whose result extent is its first @p lines
+     * lines (1..64); only those lines are pending.
+     * @return page slot, or nullopt when full.
+     */
+    std::optional<std::uint32_t> allocate(std::size_t lines);
 
     /** @return free page count (the MMIO freePages register). */
     std::size_t freePages() const { return free_.size(); }
@@ -75,14 +84,15 @@ class Scratchpad
     /** @return true when the line has not yet drained to DRAM. */
     bool linePending(std::uint32_t page, unsigned line) const;
 
-    /** Mark a line computed without rewriting data (tag updates). */
-    void markComputed(std::uint32_t page, unsigned line);
+    /** @return the result extent of @p page in lines (0 when free). */
+    std::size_t extentLines(std::uint32_t page) const;
 
     /**
      * Self-Recycle step: a wrCAS to a line staged here drains it.
      * Copies the staged data to @p drained (the bytes that must land
      * in DRAM instead of the host's write burst) and clears the
-     * pending bit. @return true when the whole page just freed.
+     * pending bit. @return true when the page's extent just drained
+     * and the page freed.
      */
     bool drainLine(std::uint32_t page, unsigned line,
                    std::uint8_t *drained);
@@ -108,6 +118,7 @@ class Scratchpad
         std::vector<std::uint8_t> data;
         std::bitset<kLinesPerPage> pending;  ///< not yet drained
         std::bitset<kLinesPerPage> computed; ///< DSA result ready
+        std::size_t extent = 0; ///< result extent in lines
         bool allocated = false;
     };
 

@@ -1,5 +1,6 @@
 #include "smartdimm/tls_dsa.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/log.h"
@@ -44,15 +45,21 @@ TlsDsaJob::TlsDsaJob(std::shared_ptr<TlsMessageState> state,
                         : 0;
     payload_lines_ = divCeil(page_payload_, kCacheLineSize);
 
-    // The trailer tag belongs to the page containing byte message_len.
-    const std::size_t tag_page = msg_len / kPageSize;
-    holds_tag_ = page_index_ == tag_page;
+    // The trailer tag occupies bytes [message_len, message_len + 16)
+    // of the record and may straddle two destination pages.
+    holds_tag_ = msg_len < page_start + kPageSize;
+    if (holds_tag_) {
+        tag_begin_ = std::max(msg_len, page_start) - page_start;
+        tag_end_ = std::min(msg_len + crypto::kTlsTagSize,
+                            page_start + kPageSize) -
+                   page_start;
+    }
 
     result_.assign(kPageSize, 0);
 
-    // A tag-only page (message_len on a page boundary) has no payload
-    // lines; its single tag line becomes ready when the message
-    // completes, checked lazily in resultLine().
+    // A tag-only page (the record ends at or just before a page
+    // boundary) has no payload lines; its tag line becomes ready when
+    // the message completes, checked lazily in readyMask().
 }
 
 Cycles
@@ -66,7 +73,8 @@ TlsDsaJob::processLine(unsigned line, const std::uint8_t *data)
         page_index_ * kLinesPerPage + line;
     const Cycles busy = state_->processLine(
         global_line, data, result_.data() + line * kCacheLineSize);
-    ready_ |= std::uint64_t{1} << line;
+    // A line that also carries tag bytes waits for the whole message.
+    ready_ |= (std::uint64_t{1} << line) & ~tagMask();
     ++lines_done_;
     if (state_->complete() && holds_tag_)
         placeTag();
@@ -83,15 +91,22 @@ void
 TlsDsaJob::placeTag() const
 {
     const crypto::GcmTag tag = state_->finalTag();
-    const std::size_t msg_len = state_->messageLen();
-    const std::size_t tag_off = msg_len - page_index_ * kPageSize;
-    SD_ASSERT(tag_off + crypto::kTlsTagSize <= kPageSize,
-              "trailer tag crosses the destination page");
-    std::memcpy(result_.data() + tag_off, tag.data(), tag.size());
-    // Mark the tag's line(s) ready.
-    for (std::size_t b = tag_off / kCacheLineSize;
-         b <= (tag_off + crypto::kTlsTagSize - 1) / kCacheLineSize; ++b)
-        ready_ |= std::uint64_t{1} << b;
+    const std::size_t tag_skip =
+        page_index_ * kPageSize + tag_begin_ - state_->messageLen();
+    std::memcpy(result_.data() + tag_begin_, tag.data() + tag_skip,
+                tag_end_ - tag_begin_);
+    ready_ |= tagMask();
+}
+
+std::uint64_t
+TlsDsaJob::tagMask() const
+{
+    if (!holds_tag_)
+        return 0;
+    const std::size_t first = tag_begin_ / kCacheLineSize;
+    const std::size_t last = (tag_end_ - 1) / kCacheLineSize;
+    return (~std::uint64_t{0} >> (kLinesPerPage - 1 - last)) &
+           (~std::uint64_t{0} << first);
 }
 
 std::uint64_t
@@ -105,12 +120,9 @@ TlsDsaJob::trailerMask() const
 std::uint64_t
 TlsDsaJob::readyMask() const
 {
-    // Mirrors resultLine()'s lazy trailer logic: padding lines of a
-    // non-tag page are available immediately; the tag page's trailer
-    // (tag line + padding) waits for the whole message.
-    if (!holds_tag_)
-        return ready_ | trailerMask();
-    if (state_->complete()) {
+    // Only the page holding (part of) the tag has a trailer; its tag
+    // line(s) and padding wait for the whole message.
+    if (holds_tag_ && state_->complete()) {
         placeTag();
         return ready_ | trailerMask();
     }
@@ -121,18 +133,8 @@ bool
 TlsDsaJob::resultLine(unsigned line, std::uint8_t *out) const
 {
     SD_ASSERT(line < kLinesPerPage, "line index out of page");
-    if (!(ready_ & (std::uint64_t{1} << line))) {
-        if (line < payload_lines_)
-            return false; // payload not yet processed (S13 territory)
-        // Trailer-region line: zero padding is available immediately,
-        // but the tag line must wait for the whole message.
-        if (holds_tag_) {
-            if (!state_->complete())
-                return false;
-            placeTag();
-        }
-        ready_ |= std::uint64_t{1} << line;
-    }
+    if (!(readyMask() & (std::uint64_t{1} << line)))
+        return false;
     std::memcpy(out, result_.data() + line * kCacheLineSize,
                 kCacheLineSize);
     return true;
@@ -141,11 +143,7 @@ TlsDsaJob::resultLine(unsigned line, std::uint8_t *out) const
 std::size_t
 TlsDsaJob::resultBytes() const
 {
-    std::size_t bytes = page_payload_;
-    if (holds_tag_)
-        bytes = state_->messageLen() - page_index_ * kPageSize +
-                crypto::kTlsTagSize;
-    return std::min(bytes, kPageSize);
+    return holds_tag_ ? tag_end_ : page_payload_;
 }
 
 } // namespace sd::smartdimm

@@ -63,8 +63,8 @@ class TlsMessageState
 /**
  * The per-source-page DSA job: encrypts the page's slice of the
  * message and exposes result lines for the Scratchpad. The trailer
- * tag is appended to the result bytes of the page that contains
- * offset message_len.
+ * tag is appended to the result bytes at offset message_len; a tag
+ * that crosses a page boundary is split between the two pages' jobs.
  */
 class TlsDsaJob : public DsaJob
 {
@@ -89,8 +89,11 @@ class TlsDsaJob : public DsaJob
     std::size_t payloadLines() const { return payload_lines_; }
 
   private:
-    /** Patch the trailer tag into this page's result bytes. */
+    /** Patch this page's share of the tag into its result bytes. */
     void placeTag() const;
+
+    /** Bitmask of the lines carrying this page's tag bytes. */
+    std::uint64_t tagMask() const;
 
     /** Bitmask of this page's trailer-region lines (>= payload). */
     std::uint64_t trailerMask() const;
@@ -99,7 +102,9 @@ class TlsDsaJob : public DsaJob
     std::size_t page_index_;
     std::size_t page_payload_;  ///< payload bytes within this page
     std::size_t payload_lines_; ///< lines carrying payload
-    bool holds_tag_;            ///< trailer lives in this page
+    bool holds_tag_;            ///< tag bytes live in this page
+    std::size_t tag_begin_ = 0; ///< page offset of this page's tag bytes
+    std::size_t tag_end_ = 0;   ///< end of this page's tag bytes
     mutable std::vector<std::uint8_t> result_;
     mutable std::uint64_t ready_ = 0; ///< bit per available result line
     std::size_t lines_done_ = 0;

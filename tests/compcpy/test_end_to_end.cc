@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -280,35 +281,100 @@ TEST(EndToEnd, AdaptiveEngineCpuAndOffloadAgree)
     EXPECT_EQ(engine.offloadedRecords(), 1u);
 }
 
+/** One SelfRecycleFreesScratchpad input: a ULP and a payload. */
+struct RecycleInput
+{
+    smartdimm::UlpKind ulp;
+    std::vector<std::uint8_t> payload;
+};
+
+/** Text-like bytes: words drawn from a small vocabulary. */
+std::vector<std::uint8_t>
+textLike(Rng &rng, std::size_t len)
+{
+    static const char *const kWords[] = {"the ", "scratchpad ", "page ",
+                                         "drains ", "when ", "its ",
+                                         "extent ", "lines ", "recycle. "};
+    std::vector<std::uint8_t> out;
+    while (out.size() < len) {
+        const char *w = kWords[rng.below(std::size(kWords))];
+        out.insert(out.end(), w, w + std::strlen(w));
+    }
+    out.resize(len);
+    return out;
+}
+
 TEST(EndToEnd, SelfRecycleFreesScratchpad)
 {
     System sys;
     Rng rng(6);
-
-    const std::size_t len = 4096;
-    std::vector<std::uint8_t> plain(len);
-    rng.fill(plain.data(), len);
     std::uint8_t key[16];
     rng.fill(key, 16);
 
-    for (int round = 0; round < 20; ++round) {
-        const Addr sbuf = sys.driver.alloc(len);
-        const Addr dbuf = sys.driver.alloc(len + kPageSize);
-        sys.memory->writeSync(sbuf, plain.data(), len);
+    auto randomBytes = [&rng](std::size_t len) {
+        std::vector<std::uint8_t> out(len);
+        rng.fill(out.data(), len);
+        return out;
+    };
+    const std::vector<RecycleInput> inputs = {
+        {smartdimm::UlpKind::kTlsEncrypt, randomBytes(4096)},
+        {smartdimm::UlpKind::kTlsEncrypt, randomBytes(1000)},
+        // The tag straddles into a second destination page.
+        {smartdimm::UlpKind::kTlsEncrypt, randomBytes(4090)},
+        // The tag fills a tag-only third page.
+        {smartdimm::UlpKind::kTlsEncrypt, randomBytes(8192)},
+        {smartdimm::UlpKind::kDeflate, textLike(rng, 1030)},
+        {smartdimm::UlpKind::kDeflate, randomBytes(4001)},
+    };
+    crypto::GcmContext ctx(key, crypto::Aes::KeySize::k128);
+
+    // More ops than the scratchpad has pages: every page must free
+    // through the USE-side flush alone, or Force-Recycle would run.
+    const std::size_t rounds = sys.dimm.config().scratchpadPages() + 64;
+    for (std::size_t round = 0; round < rounds; ++round) {
+        const RecycleInput &in = inputs[round % inputs.size()];
+        const std::size_t len = in.payload.size();
+        const bool tls = in.ulp == smartdimm::UlpKind::kTlsEncrypt;
 
         compcpy::CompCpyParams params;
-        params.sbuf = sbuf;
-        params.dbuf = dbuf;
         params.size = len;
-        params.ulp = smartdimm::UlpKind::kTlsEncrypt;
+        params.ulp = in.ulp;
+        params.ordered = !tls;
         params.message_id = 1000 + round;
         std::memcpy(params.key, key, 16);
         params.iv[0] = static_cast<std::uint8_t>(round);
+        params.iv[1] = static_cast<std::uint8_t>(round >> 8);
+        const std::size_t dst_bytes =
+            compcpy::CompCpyEngine::destPages(params) * kPageSize;
+        params.sbuf = sys.driver.alloc(len);
+        params.dbuf = sys.driver.alloc(dst_bytes);
+        std::vector<std::uint8_t> staged(
+            divCeil(len, kCacheLineSize) * kCacheLineSize, 0);
+        std::memcpy(staged.data(), in.payload.data(), len);
+        sys.memory->writeSync(params.sbuf, staged.data(), staged.size());
 
         sys.engine.run(params);
-        sys.engine.useSync(dbuf, divCeil(len + 16, kPageSize) * kPageSize);
-        sys.driver.release(sbuf, len);
-        sys.driver.release(dbuf, len + kPageSize);
+        sys.engine.useSync(params.dbuf, dst_bytes);
+        if (tls) {
+            const auto result = sys.engine.readResult(params.dbuf, len + 16);
+            std::vector<std::uint8_t> expect(len + 16);
+            const crypto::GcmTag tag = ctx.encrypt(
+                params.iv, in.payload.data(), len, expect.data());
+            std::memcpy(expect.data() + len, tag.data(), tag.size());
+            ASSERT_EQ(result, expect) << "round " << round << ", " << len
+                                      << " B TLS";
+        } else {
+            const auto framed = sys.engine.readResult(params.dbuf, kPageSize);
+            const std::size_t stream_len = framed[0] | (framed[1] << 8);
+            ASSERT_LE(stream_len + 2, framed.size()) << "round " << round;
+            const auto back = compress::deflateTryDecompress(
+                framed.data() + 2, stream_len, len);
+            ASSERT_TRUE(back.has_value()) << "round " << round;
+            ASSERT_EQ(*back, in.payload) << "round " << round << ", "
+                                         << len << " B Deflate";
+        }
+        sys.driver.release(params.sbuf, len);
+        sys.driver.release(params.dbuf, dst_bytes);
     }
 
     // Every offload's pages must have recycled via the USE-side

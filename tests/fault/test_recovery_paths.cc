@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "compcpy/compcpy.h"
 #include "compcpy/driver.h"
+#include "compress/deflate.h"
 #include "crypto/aes_gcm.h"
 #include "fault/fault.h"
 #include "net/loss_model.h"
@@ -241,6 +242,94 @@ TEST(RecoveryPaths, FreePagesLieDrivesForceRecycleThenRecovers)
     EXPECT_EQ(sys.engine.stats().recycle_bailouts, 0u);
     EXPECT_FALSE(sys.engine.lastCallDegraded());
     EXPECT_EQ(result, softwareCiphertext(plain, key, iv));
+}
+
+TEST(RecoveryPaths, ForceRecycleDrainsPendingPagesByteExact)
+{
+    System sys;
+    Rng rng(16);
+    std::uint8_t key[16];
+    rng.fill(key, 16);
+
+    // One pending op's buffers and what its destination must hold.
+    struct Pending
+    {
+        Addr dbuf = 0;
+        std::size_t bytes = 0;
+        smartdimm::UlpKind ulp = smartdimm::UlpKind::kTlsEncrypt;
+        std::vector<std::uint8_t> payload;
+        crypto::GcmIv iv{};
+    };
+    auto offload = [&](smartdimm::UlpKind ulp, std::size_t len,
+                       std::uint64_t id) {
+        Pending op;
+        op.ulp = ulp;
+        op.payload.resize(len);
+        rng.fill(op.payload.data(), len);
+        rng.fill(op.iv.data(), op.iv.size());
+
+        compcpy::CompCpyParams params;
+        params.size = len;
+        params.ulp = ulp;
+        params.ordered = ulp == smartdimm::UlpKind::kDeflate;
+        params.message_id = id;
+        std::memcpy(params.key, key, 16);
+        params.iv = op.iv;
+        op.bytes = compcpy::CompCpyEngine::destPages(params) * kPageSize;
+        params.sbuf = sys.driver.alloc(kPageSize * divCeil(len, kPageSize));
+        params.dbuf = op.dbuf = sys.driver.alloc(op.bytes);
+        std::vector<std::uint8_t> staged(
+            divCeil(len, kCacheLineSize) * kCacheLineSize, 0);
+        std::memcpy(staged.data(), op.payload.data(), len);
+        sys.memory->writeSync(params.sbuf, staged.data(), staged.size());
+        sys.engine.run(params);
+        return op;
+    };
+    auto expectResult = [&](const Pending &op) {
+        const std::size_t len = op.payload.size();
+        if (op.ulp == smartdimm::UlpKind::kTlsEncrypt) {
+            EXPECT_EQ(sys.engine.readResult(op.dbuf, len + 16),
+                      softwareCiphertext(op.payload, key, op.iv));
+            return;
+        }
+        const auto framed = sys.engine.readResult(op.dbuf, kPageSize);
+        const std::size_t stream_len = framed[0] | (framed[1] << 8);
+        ASSERT_LE(stream_len + 2, framed.size());
+        const auto back = compress::deflateTryDecompress(
+            framed.data() + 2, stream_len, len);
+        ASSERT_TRUE(back.has_value());
+        EXPECT_EQ(*back, op.payload);
+    };
+
+    // Two offloads nobody USEs: their pages stay pending, the dirty
+    // destination lines sit in the LLC.
+    const std::vector<Pending> earlier = {
+        offload(smartdimm::UlpKind::kTlsEncrypt, 1000, 1),
+        offload(smartdimm::UlpKind::kDeflate, 3000, 2),
+    };
+    ASSERT_EQ(sys.dimm.scratchpad().livePages(), 2u);
+    ASSERT_EQ(sys.engine.stats().force_recycles, 0u);
+
+    // The next op re-reads freePages and is lied to: Alg. 1 drains
+    // the pending pages through cache flushes and uncached rewrites.
+    fault::FaultPlan plan(9);
+    plan.add(fault::Site::kFreePagesLie, 0, /*count=*/1);
+    sys.attach(&plan);
+    sys.shared.free_pages = -1;
+    const Pending last = offload(smartdimm::UlpKind::kTlsEncrypt, 4096, 3);
+
+    EXPECT_EQ(sys.dimm.stats().freepages_lies, 1u);
+    EXPECT_GE(sys.engine.stats().force_recycles, 1u);
+    EXPECT_EQ(sys.engine.stats().recycle_bailouts, 0u);
+    EXPECT_EQ(sys.dimm.scratchpad().livePages(), 2u)
+        << "only the un-USEd last op's two pages remain";
+    for (const Pending &op : earlier)
+        expectResult(op);
+
+    sys.engine.useSync(last.dbuf, last.bytes);
+    expectResult(last);
+    EXPECT_EQ(sys.dimm.scratchpad().livePages(), 0u);
+    EXPECT_FALSE(sys.engine.lastCallDegraded());
 }
 
 TEST(RecoveryPaths, PersistentFreePagesLiesBailOutBounded)

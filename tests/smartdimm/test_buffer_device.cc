@@ -217,15 +217,26 @@ TEST(BufferDevice, FullOffloadSelfRecyclesAndMatchesGcm)
     // Let the DSA-latency events fire.
     rig.events.run();
 
-    // Writebacks of the dbuf (self-recycle): host data replaced.
+    // Writebacks of the dbuf (self-recycle): host data replaced. The
+    // result extent is ciphertext || tag, 4016 bytes = 63 lines; the
+    // page retires on the last of them, before the padding line.
+    const std::size_t extent = divCeil(len + 16, kCacheLineSize);
+    ASSERT_EQ(extent, 63u);
     std::uint8_t host_junk[64];
     std::memset(host_junk, 0xaa, 64);
-    for (unsigned l = 0; l < kLinesPerPage; ++l)
+    for (unsigned l = 0; l < extent; ++l) {
+        EXPECT_EQ(rig.dev.scratchpad().livePages(), 1u) << "line " << l;
         rig.write(0x200000 + l * 64ull, host_junk);
-
+    }
     EXPECT_EQ(rig.dev.scratchpad().livePages(), 0u)
-        << "page must self-recycle after all 64 drains";
-    EXPECT_EQ(rig.dev.stats().dbuf_recycles, kLinesPerPage);
+        << "page must self-recycle after its 63 extent drains";
+    EXPECT_EQ(rig.dev.stats().dbuf_recycles, extent);
+
+    // The padding line past the extent is a plain write.
+    const std::uint64_t plain_before = rig.dev.stats().plain_writes;
+    rig.write(0x200000 + extent * 64ull, host_junk);
+    EXPECT_EQ(rig.dev.stats().plain_writes, plain_before + 1);
+    EXPECT_EQ(rig.dev.stats().dbuf_recycles, extent);
 
     // DRAM now holds ciphertext || tag.
     crypto::GcmContext ctx(key, crypto::Aes::KeySize::k128);

@@ -21,16 +21,16 @@ TEST(Scratchpad, AllocateUntilFull)
     Scratchpad sp(4);
     EXPECT_EQ(sp.freePages(), 4u);
     for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(sp.allocate().has_value());
+        EXPECT_TRUE(sp.allocate(kLinesPerPage).has_value());
     EXPECT_EQ(sp.freePages(), 0u);
-    EXPECT_FALSE(sp.allocate().has_value());
+    EXPECT_FALSE(sp.allocate(kLinesPerPage).has_value());
     EXPECT_EQ(sp.livePages(), 4u);
 }
 
 TEST(Scratchpad, WriteReadLine)
 {
     Scratchpad sp(2);
-    const auto page = sp.allocate();
+    const auto page = sp.allocate(kLinesPerPage);
     ASSERT_TRUE(page.has_value());
 
     std::uint8_t data[kCacheLineSize];
@@ -48,7 +48,7 @@ TEST(Scratchpad, WriteReadLine)
 TEST(Scratchpad, SelfRecycleFreesPageAfterAllLinesDrain)
 {
     Scratchpad sp(1);
-    const auto page = sp.allocate();
+    const auto page = sp.allocate(kLinesPerPage);
     ASSERT_TRUE(page.has_value());
     std::uint8_t data[kCacheLineSize] = {0x11};
     for (unsigned l = 0; l < kLinesPerPage; ++l)
@@ -64,10 +64,31 @@ TEST(Scratchpad, SelfRecycleFreesPageAfterAllLinesDrain)
     EXPECT_EQ(sp.stats().self_recycles, kLinesPerPage);
 }
 
+TEST(Scratchpad, SubPageExtentFreesAfterExtentDrains)
+{
+    Scratchpad sp(1);
+    const auto page = sp.allocate(3);
+    ASSERT_TRUE(page.has_value());
+    EXPECT_EQ(sp.extentLines(*page), 3u);
+    EXPECT_TRUE(sp.linePending(*page, 2));
+    EXPECT_FALSE(sp.linePending(*page, 3))
+        << "lines past the extent are never pending";
+
+    std::uint8_t data[kCacheLineSize] = {0x22};
+    std::uint8_t drained[kCacheLineSize];
+    for (unsigned l = 0; l < 3; ++l) {
+        sp.writeLine(*page, l, data);
+        EXPECT_EQ(sp.drainLine(*page, l, drained), l == 2);
+    }
+    EXPECT_EQ(sp.freePages(), 1u);
+    EXPECT_EQ(sp.extentLines(*page), 0u);
+    EXPECT_EQ(sp.stats().self_recycles, 3u);
+}
+
 TEST(Scratchpad, LinePendingClearsOnDrain)
 {
     Scratchpad sp(1);
-    const auto page = sp.allocate();
+    const auto page = sp.allocate(kLinesPerPage);
     std::uint8_t data[kCacheLineSize] = {};
     sp.writeLine(*page, 0, data);
     EXPECT_TRUE(sp.linePending(*page, 0));
@@ -79,7 +100,7 @@ TEST(Scratchpad, LinePendingClearsOnDrain)
 TEST(Scratchpad, ForceDrainFreesWholePage)
 {
     Scratchpad sp(2);
-    const auto page = sp.allocate();
+    const auto page = sp.allocate(kLinesPerPage);
     std::uint8_t data[kCacheLineSize] = {0x22};
     sp.writeLine(*page, 5, data);
 
@@ -93,8 +114,8 @@ TEST(Scratchpad, ForceDrainFreesWholePage)
 TEST(Scratchpad, PendingListTracksAllocatedPages)
 {
     Scratchpad sp(8);
-    auto a = sp.allocate();
-    auto b = sp.allocate();
+    auto a = sp.allocate(kLinesPerPage);
+    auto b = sp.allocate(kLinesPerPage);
     const auto pending = sp.pendingPages();
     EXPECT_EQ(pending.size(), 2u);
 
@@ -114,7 +135,7 @@ TEST(Scratchpad, RecycledPagesAreReusable)
     std::uint8_t data[kCacheLineSize] = {};
     std::uint8_t drained[kCacheLineSize];
     for (int round = 0; round < 5; ++round) {
-        const auto page = sp.allocate();
+        const auto page = sp.allocate(kLinesPerPage);
         ASSERT_TRUE(page.has_value()) << "round " << round;
         for (unsigned l = 0; l < kLinesPerPage; ++l) {
             sp.writeLine(*page, l, data);
@@ -130,7 +151,7 @@ TEST(Scratchpad, OccupancyBytes)
     Scratchpad sp(2048); // paper: 8 MB
     EXPECT_EQ(sp.occupancyBytes(), 0u);
     for (int i = 0; i < 512; ++i)
-        sp.allocate();
+        sp.allocate(kLinesPerPage);
     EXPECT_EQ(sp.occupancyBytes(), 512u * kPageSize); // 2 MB
     EXPECT_EQ(sp.stats().peak_pages, 512u);
 }
@@ -138,7 +159,7 @@ TEST(Scratchpad, OccupancyBytes)
 TEST(Scratchpad, FreshAllocationIsZeroed)
 {
     Scratchpad sp(1);
-    const auto p1 = sp.allocate();
+    const auto p1 = sp.allocate(kLinesPerPage);
     std::uint8_t data[kCacheLineSize];
     std::memset(data, 0xff, sizeof(data));
     sp.writeLine(*p1, 0, data);
@@ -147,7 +168,7 @@ TEST(Scratchpad, FreshAllocationIsZeroed)
     sp.forceDrainPage(*p1, page_data);
     (void)drained;
 
-    const auto p2 = sp.allocate();
+    const auto p2 = sp.allocate(kLinesPerPage);
     std::uint8_t back[kCacheLineSize];
     sp.readLine(*p2, 0, back);
     for (auto b : back)
