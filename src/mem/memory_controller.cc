@@ -13,7 +13,10 @@ MemoryController::MemoryController(EventQueue &events, const AddressMap &map,
                                    unsigned channel, DimmDevice &dimm)
     : events_(events), map_(map), timing_(timing), config_(config),
       channel_(channel), dimm_(dimm),
-      banks_(map.geometry().totalBanks())
+      banks_(map.geometry().totalBanks()),
+      banks_per_group_(map.geometry().banks_per_group),
+      group_next_cas_at_(map.geometry().totalBanks() /
+                         map.geometry().banks_per_group)
 {
 }
 
@@ -163,6 +166,25 @@ MemoryController::reportStats(trace::StatsBlock &block) const
     block.hist("read_latency_ticks", read_latency_);
 }
 
+Tick
+MemoryController::earliestCas(const Request &req, bool is_write) const
+{
+    // Every CAS spacing rule lives here. Each input moves only when a
+    // CAS (or, for the bank, an ACT) issues, so between passes the
+    // result never recedes — the property wakeup coalescing needs.
+    return std::max({
+        // Bank: tRCD after its ACT, tCCD_L after its last CAS.
+        banks_.readyAt(req.flat_bank),
+        // Channel: last CAS + max(tBL, tCCD_S), either direction.
+        next_cas_at_,
+        // Bank group: last CAS in the group + tCCD_L.
+        group_next_cas_at_[req.flat_bank / banks_per_group_],
+        // Turnaround: last read CAS + tRTW for a write; last write's
+        // data end + tWTR for a read.
+        is_write ? next_write_cas_at_ : next_read_cas_at_,
+    });
+}
+
 bool
 MemoryController::issueRequest(std::deque<Request> &queue,
                                std::size_t index, bool is_write)
@@ -197,26 +219,14 @@ MemoryController::issueRequest(std::deque<Request> &queue,
         return false; // CAS not issued this pass
     }
 
-    // Earliest issue: bank readiness, data-bus availability, and the
-    // read/write turnaround relative to the *previous* burst. All
-    // inputs are stable until another CAS issues, so the computed
-    // tick does not recede across scheduler passes.
-    Tick earliest = std::max(banks_.readyAt(bank), bus_free_at_);
-    const bool turnaround =
-        cas_issued_ && last_was_write_ != is_write;
-    if (turnaround)
-        earliest = std::max(
-            earliest,
-            bus_free_at_ +
-                (is_write ? timing_.tRTW : timing_.tWTR) * period);
-    const Tick cas_at = clock_.nextEdge(std::max(earliest, now));
-
+    const Tick cas_at =
+        clock_.nextEdge(std::max(earliestCas(req, is_write), now));
     if (cas_at > now) {
-        // Not issuable yet; try again when the bus frees up.
+        // Not issuable yet; try again when the spacing rules allow.
         requestPass(cas_at);
         return false;
     }
-    if (turnaround)
+    if (cas_issued_ && last_was_write_ != is_write)
         ++stats_.turnarounds;
 
     // Issue the CAS now. Row hits are CASes that never needed an ACT.
@@ -229,8 +239,16 @@ MemoryController::issueRequest(std::deque<Request> &queue,
     const Tick data_start = cas_at + cas_latency * period;
     const Tick data_end = data_start + timing_.tBL * period;
 
+    next_cas_at_ =
+        cas_at + std::max(timing_.tBL, timing_.tCCD_S) * period;
+    // The bank's own readiness also gates its next PRE (ACT path).
     banks_.setReadyAt(bank, cas_at + timing_.tCCD_L * period);
-    bus_free_at_ = data_end;
+    group_next_cas_at_[bank / banks_per_group_] =
+        cas_at + timing_.tCCD_L * period;
+    if (is_write)
+        next_read_cas_at_ = data_end + timing_.tWTR * period;
+    else
+        next_write_cas_at_ = cas_at + timing_.tRTW * period;
     last_was_write_ = is_write;
     cas_issued_ = true;
     bus_busy_cycles_ += timing_.tBL;

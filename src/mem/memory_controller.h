@@ -1,10 +1,11 @@
 /**
  * @file
  * Per-channel DDR4 memory controller: FR-FCFS scheduling over split
- * read/write queues with watermark-based write draining. The write
- * batching plus bus-turnaround costs produce the >1 us gap between a
- * CompCpy's sbuf rdCAS and the matching dbuf wrCAS that SmartDIMM's
- * inline offload depends on (Sec. IV-D).
+ * read/write queues with watermark-based write draining and pipelined
+ * CAS issue (see earliestCas). The write batching plus bus-turnaround
+ * costs produce the gap between a CompCpy's sbuf rdCAS and the
+ * matching dbuf wrCAS that SmartDIMM's inline offload depends on
+ * (Sec. IV-D; bench/micro_slack measures it).
  */
 
 #ifndef SD_MEM_MEMORY_CONTROLLER_H
@@ -165,6 +166,12 @@ class MemoryController
     void schedulePass();   ///< pick and issue the next command
     bool issueRequest(std::deque<Request> &queue, std::size_t index,
                       bool is_write);
+    /**
+     * Earliest tick @p req's CAS may issue: the one home of the DDR4
+     * column spacing rules (DESIGN.md §12). CASes pipeline, so the
+     * next one need not wait for the previous burst's data.
+     */
+    Tick earliestCas(const Request &req, bool is_write) const;
     std::size_t pickFrFcfs(const std::deque<Request> &queue) const;
     void emit(DdrCommandType type, const Request &req, Tick at);
 
@@ -181,6 +188,12 @@ class MemoryController
     std::deque<Request> read_q_;
     std::deque<Request> write_q_;
     BankStateSoA banks_;
+    unsigned banks_per_group_;
+    /** Per (dimm, rank, bank group): last CAS + tCCD_L. */
+    std::vector<Tick> group_next_cas_at_;
+    Tick next_cas_at_ = 0;       ///< last CAS + max(tBL, tCCD_S)
+    Tick next_write_cas_at_ = 0; ///< last read CAS + tRTW
+    Tick next_read_cas_at_ = 0;  ///< last write data end + tWTR
     bool write_drain_ = false;
     bool coalesce_wakeups_ = true;
     bool pass_scheduled_ = false; ///< a pass event is pending at pass_at_
@@ -189,9 +202,8 @@ class MemoryController
     std::uint64_t pass_epoch_ = 0;
     /** Pass-scoped buffer for the mirrored DDR command stream. */
     trace::DdrBatch ddr_batch_;
-    Tick bus_free_at_ = 0;
     bool last_was_write_ = false;
-    bool cas_issued_ = false; ///< any CAS issued yet (turnaround gate)
+    bool cas_issued_ = false; ///< any CAS issued yet (turnaround count)
     std::uint64_t bus_busy_cycles_ = 0;
     ControllerStats stats_;
     LogHistogram read_latency_;

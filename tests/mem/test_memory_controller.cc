@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "cache/memory_system.h"
@@ -24,6 +27,7 @@ using mem::ChannelInterleave;
 using mem::ControllerConfig;
 using mem::DdrCommand;
 using mem::DdrCommandType;
+using mem::DramCoord;
 using mem::DramGeometry;
 using mem::DramTiming;
 using mem::MemoryController;
@@ -66,6 +70,48 @@ class Tracer : public mem::CommandObserver
     void observe(const DdrCommand &cmd) override { trace.push_back(cmd); }
     std::vector<DdrCommand> trace;
 };
+
+/** DDR4-3200 command-clock period in ticks (ps). */
+constexpr Tick kPeriod = 625;
+
+/** The CAS commands of a trace, in issue order. */
+std::vector<DdrCommand>
+casCommands(const std::vector<DdrCommand> &trace)
+{
+    std::vector<DdrCommand> cas;
+    for (const auto &cmd : trace) {
+        if (cmd.type == DdrCommandType::kReadCas ||
+            cmd.type == DdrCommandType::kWriteCas)
+            cas.push_back(cmd);
+    }
+    return cas;
+}
+
+/** Tick a CAS's data burst starts / ends on the bus. */
+Tick
+dataStart(const DdrCommand &cas, const DramTiming &t)
+{
+    const bool write = cas.type == DdrCommandType::kWriteCas;
+    return cas.issue + (write ? t.tCWL : t.tCL) * kPeriod;
+}
+
+Tick
+dataEnd(const DdrCommand &cas, const DramTiming &t)
+{
+    return dataStart(cas, t) + t.tBL * kPeriod;
+}
+
+/** Line address of (bank group, bank, column) in row 0. */
+Addr
+lineAt(const AddressMap &map, unsigned bank_group, unsigned bank,
+       unsigned col)
+{
+    DramCoord coord;
+    coord.bank_group = bank_group;
+    coord.bank = bank;
+    coord.col = col;
+    return map.compose(coord);
+}
 
 struct Rig
 {
@@ -244,6 +290,157 @@ TEST(MemoryController, BandwidthAccounting)
         rig.readSync(i * 64ull, buf);
     EXPECT_EQ(rig.mc.stats().bytesMoved(), (10u + 6u) * 64u);
     EXPECT_GT(rig.mc.busBusyCycles(), 0u);
+}
+
+TEST(MemoryController, ReadsToOneOpenRowIssueTccdLApart)
+{
+    Rig rig;
+    const DramTiming t;
+    std::uint8_t buf[64];
+    rig.readSync(0, buf); // opens row 0 of bank 0
+    rig.tracer.trace.clear();
+
+    for (int i = 1; i <= 32; ++i)
+        rig.mc.enqueueRead(i * 64ull, buf, nullptr);
+    rig.events.run();
+
+    const auto cas = casCommands(rig.tracer.trace);
+    ASSERT_EQ(cas.size(), 32u);
+    for (std::size_t i = 1; i < cas.size(); ++i)
+        EXPECT_EQ(cas[i].issue - cas[i - 1].issue, t.tCCD_L * kPeriod)
+            << "rdCAS " << i;
+}
+
+TEST(MemoryController, ReadsAlternatingBankGroupsFillTheDataBus)
+{
+    Rig rig;
+    const DramTiming t;
+    std::uint8_t buf[64];
+    const Addr group0 = lineAt(rig.map, 0, 0, 0);
+    const Addr group1 = lineAt(rig.map, 1, 0, 0);
+    rig.readSync(group0, buf); // open both rows first
+    rig.readSync(group1, buf);
+    rig.tracer.trace.clear();
+    const std::uint64_t busy_before = rig.mc.busBusyCycles();
+
+    constexpr int kReads = 64;
+    for (int i = 0; i < kReads; ++i) {
+        const Addr base = i % 2 ? group1 : group0;
+        rig.mc.enqueueRead(base + (i / 2 + 1) * 64ull, buf, nullptr);
+    }
+    rig.events.run();
+
+    const auto cas = casCommands(rig.tracer.trace);
+    ASSERT_EQ(cas.size(), static_cast<std::size_t>(kReads));
+    for (std::size_t i = 1; i < cas.size(); ++i)
+        EXPECT_EQ(cas[i].issue - cas[i - 1].issue,
+                  std::max(t.tBL, t.tCCD_S) * kPeriod)
+            << "rdCAS " << i;
+
+    // From the first burst's start to the last burst's end, the data
+    // bus carries data at least 90% of the time.
+    const std::uint64_t span_cycles =
+        (dataEnd(cas.back(), t) - dataStart(cas.front(), t)) / kPeriod;
+    const std::uint64_t busy = rig.mc.busBusyCycles() - busy_before;
+    EXPECT_GE(busy * 10, span_cycles * 9)
+        << busy << " busy of " << span_cycles << " cycles";
+}
+
+TEST(MemoryController, MixedStreamKeepsSpacingRulesAndBankOrder)
+{
+    Rig rig;
+    const DramTiming t;
+    Rng rng(13);
+
+    // Six banks over four bank groups, one row each, so FR-FCFS's
+    // row-hit-first pick never has cause to reorder within a bank.
+    const std::pair<unsigned, unsigned> banks[] = {
+        {0, 0}, {0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 1}};
+    std::uint8_t sink[64];
+    std::uint8_t line[64] = {0x3c};
+    unsigned next_col[6][2] = {};
+
+    // Requests arrive in bursts and gaps; each (bank, direction) gets
+    // rising columns, so a column records its enqueue order.
+    constexpr int kRequests = 400;
+    Tick at = 0;
+    for (int i = 0; i < kRequests; ++i) {
+        at += rng.below(8) * kPeriod;
+        const std::size_t b = rng.below(6);
+        const bool write = rng.chance(0.5);
+        const Addr addr = lineAt(rig.map, banks[b].first, banks[b].second,
+                                 next_col[b][write]++);
+        rig.events.schedule(at, [&rig, &sink, &line, addr, write] {
+            if (write)
+                rig.mc.enqueueWrite(addr, line);
+            else
+                rig.mc.enqueueRead(addr, sink, nullptr);
+        });
+    }
+    rig.events.run();
+
+    const auto cas = casCommands(rig.tracer.trace);
+    ASSERT_EQ(cas.size(), static_cast<std::size_t>(kRequests));
+
+    // No two data bursts overlap on the bus.
+    std::vector<std::pair<Tick, Tick>> bursts;
+    for (const auto &c : cas)
+        bursts.emplace_back(dataStart(c, t), dataEnd(c, t));
+    std::sort(bursts.begin(), bursts.end());
+    for (std::size_t i = 1; i < bursts.size(); ++i)
+        EXPECT_GE(bursts[i].first, bursts[i - 1].second) << "burst " << i;
+
+    const auto &g = rig.geometry;
+    std::map<unsigned, Tick> group_last_cas;
+    std::map<std::pair<unsigned, bool>, int> bank_last_col;
+    int read_to_write = 0;
+    int write_to_read = 0;
+    int back_to_back = 0;
+    for (std::size_t i = 0; i < cas.size(); ++i) {
+        const auto &cur = cas[i];
+        const bool cur_write = cur.type == DdrCommandType::kWriteCas;
+        const unsigned bank = cur.coord.flatBank(g);
+
+        // CASes to one bank keep their enqueue order, per direction.
+        const auto key = std::make_pair(bank, cur_write);
+        const auto last = bank_last_col.find(key);
+        if (last != bank_last_col.end()) {
+            EXPECT_GT(static_cast<int>(cur.coord.col), last->second)
+                << "CAS " << i << " overtook an older request";
+        }
+        bank_last_col[key] = static_cast<int>(cur.coord.col);
+
+        const unsigned group = bank / g.banks_per_group;
+        const auto group_last = group_last_cas.find(group);
+        if (group_last != group_last_cas.end()) {
+            EXPECT_GE(cur.issue - group_last->second, t.tCCD_L * kPeriod)
+                << "CAS " << i;
+        }
+        group_last_cas[group] = cur.issue;
+
+        if (i == 0)
+            continue;
+        const auto &prev = cas[i - 1];
+        const bool prev_write = prev.type == DdrCommandType::kWriteCas;
+        EXPECT_GE(cur.issue - prev.issue,
+                  std::max(t.tBL, t.tCCD_S) * kPeriod)
+            << "CAS " << i;
+        if (!prev_write && cur_write) {
+            ++read_to_write;
+            EXPECT_GE(cur.issue - prev.issue, t.tRTW * kPeriod)
+                << "CAS " << i;
+        } else if (prev_write && !cur_write) {
+            ++write_to_read;
+            EXPECT_GE(cur.issue, dataEnd(prev, t) + t.tWTR * kPeriod)
+                << "CAS " << i;
+        } else if (dataStart(cur, t) == dataEnd(prev, t)) {
+            ++back_to_back;
+        }
+    }
+    EXPECT_GT(read_to_write, 0);
+    EXPECT_GT(write_to_read, 0);
+    EXPECT_GT(back_to_back, 0)
+        << "same-direction CASes must pipeline their bursts";
 }
 
 } // namespace
