@@ -1,17 +1,15 @@
 /**
  * @file
- * SoA bank-state table for the memory controller's FR-FCFS scan.
+ * SoA bank-state table for the memory controller's FR-FCFS pick.
  *
- * The scheduler's hottest loop asks one question per queued request:
- * "is this request a row hit?" — i.e. does the request's bank have
- * its row open. The seed kept per-bank state as an array of structs
- * (open flag, row, ready/act ticks), so every probe dragged a full
- * 32-byte Bank record through the cache to read 9 bytes of it. This
- * table stores each field in its own contiguous vector; the scan
- * touches only the open-row column (8 bytes per bank, with the
- * closed state folded into a sentinel row value), and the timing
- * columns are read only for the single request the pass actually
- * issues.
+ * The scheduler's hottest loop asks one question per bank with
+ * queued requests: "which row is open?". The seed kept per-bank state
+ * as an array of structs (open flag, row, ready/act ticks), so every
+ * probe dragged a full 32-byte Bank record through the cache to read
+ * 9 bytes of it. This table stores each field in its own contiguous
+ * vector; the probe touches only the open-row column (8 bytes per
+ * bank, with the closed state folded into a sentinel row value), and
+ * the timing columns are read only for banks with a row open.
  *
  * Like the struct it replaces, this is plain controller-private
  * state: no concurrency contract beyond the controller's own
@@ -46,16 +44,6 @@ class BankStateSoA
 
     /** @return true when the bank has any row open. */
     bool open(std::size_t bank) const { return open_row_[bank] != kClosed; }
-
-    /**
-     * The FR-FCFS probe: one 8-byte load, true iff the bank is open
-     * *and* holds @p row (kClosed never equals a real row number).
-     */
-    bool
-    rowHit(std::size_t bank, std::uint64_t row) const
-    {
-        return open_row_[bank] == row;
-    }
 
     /** Open row of @p bank. Precondition: open(bank). */
     std::uint64_t row(std::size_t bank) const { return open_row_[bank]; }

@@ -1,7 +1,8 @@
 #include "mem/memory_controller.h"
 
 #include <algorithm>
-#include <memory>
+#include <bit>
+#include <cstring>
 
 #include "common/log.h"
 
@@ -13,6 +14,8 @@ MemoryController::MemoryController(EventQueue &events, const AddressMap &map,
                                    unsigned channel, DimmDevice &dimm)
     : events_(events), map_(map), timing_(timing), config_(config),
       channel_(channel), dimm_(dimm),
+      reads_(map.geometry().totalBanks()),
+      writes_(map.geometry().totalBanks()),
       banks_(map.geometry().totalBanks()),
       banks_per_group_(map.geometry().banks_per_group),
       group_next_cas_at_(map.geometry().totalBanks() /
@@ -26,14 +29,9 @@ MemoryController::enqueueRead(Addr line_addr, std::uint8_t *data,
 {
     SD_ASSERT(isLineAligned(line_addr), "unaligned read 0x%llx",
               static_cast<unsigned long long>(line_addr));
-    Request req;
-    req.addr = line_addr;
-    req.coord = map_.decompose(line_addr);
-    req.flat_bank = req.coord.flatBank(map_.geometry());
-    req.read_data = data;
-    req.cb = std::move(cb);
-    req.enqueued = events_.now();
-    read_q_.push_back(std::move(req));
+    const std::uint32_t index = allocRequest(line_addr, std::move(cb));
+    slab_[index].read_data = data;
+    push(reads_, index);
     kick();
 }
 
@@ -43,14 +41,9 @@ MemoryController::enqueueWrite(Addr line_addr, const std::uint8_t *data,
 {
     SD_ASSERT(isLineAligned(line_addr), "unaligned write 0x%llx",
               static_cast<unsigned long long>(line_addr));
-    Request req;
-    req.addr = line_addr;
-    req.coord = map_.decompose(line_addr);
-    req.flat_bank = req.coord.flatBank(map_.geometry());
-    req.write_data.assign(data, data + kCacheLineSize);
-    req.cb = std::move(cb);
-    req.enqueued = events_.now();
-    write_q_.push_back(std::move(req));
+    const std::uint32_t index = allocRequest(line_addr, std::move(cb));
+    std::memcpy(slab_[index].write_data.data(), data, kCacheLineSize);
+    push(writes_, index);
     kick();
 }
 
@@ -86,21 +79,98 @@ MemoryController::requestPass(Tick when)
     });
 }
 
-std::size_t
-MemoryController::pickFrFcfs(const std::deque<Request> &queue) const
+std::uint32_t
+MemoryController::allocRequest(Addr line_addr, MemCallback cb)
 {
-    // First ready (row hit), then oldest. The probe is one 8-byte
-    // load against the SoA open-row column, keyed by the flat bank
-    // id precomputed at enqueue.
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        if (banks_.rowHit(queue[i].flat_bank, queue[i].coord.row))
-            return i;
+    std::uint32_t index;
+    if (free_.empty()) {
+        index = static_cast<std::uint32_t>(slab_.size());
+        slab_.emplace_back();
+    } else {
+        index = free_.back();
+        free_.pop_back();
     }
-    return 0;
+    Request &req = slab_[index];
+    req.addr = line_addr;
+    req.coord = map_.decompose(line_addr);
+    req.flat_bank = req.coord.flatBank(map_.geometry());
+    req.cb = std::move(cb);
+    req.enqueued = events_.now();
+    req.retries = 0;
+    return index;
 }
 
 void
-MemoryController::emit(DdrCommandType type, const Request &req, Tick at)
+MemoryController::push(BankQueues &queues, std::uint32_t index)
+{
+    Request &req = slab_[index];
+    const std::uint32_t bank = req.flat_bank;
+    req.next = kNil;
+    req.seq = next_seq_++;
+    req.needed_act = false; // a requeued read counts its own ACT
+    if (queues.tail[bank] == kNil) {
+        queues.head[bank] = index;
+        queues.nonempty[bank / 64] |= std::uint64_t{1} << (bank % 64);
+    } else {
+        slab_[queues.tail[bank]].next = index;
+    }
+    queues.tail[bank] = index;
+    ++queues.size;
+}
+
+MemoryController::Pick
+MemoryController::pick(const BankQueues &queues, bool is_write) const
+{
+    // One candidate per bank with its row open: the bank's oldest
+    // request to that row. All requests in a bank share one CAS tick,
+    // and a FIFO is in age order, so a bank whose tick and head cannot
+    // beat the best so far is skipped without walking its FIFO.
+    const Tick now = events_.now();
+    Pick best;
+    std::uint64_t best_seq = 0;
+    const auto beats = [&](Tick at, std::uint64_t seq) {
+        return !best.row_hit || at < best.cas_at ||
+               (at == best.cas_at && seq < best_seq);
+    };
+    std::uint32_t oldest = kNil;
+    std::uint64_t oldest_seq = ~std::uint64_t{0};
+    for (std::size_t w = 0; w < queues.nonempty.size(); ++w) {
+        for (std::uint64_t bits = queues.nonempty[w]; bits != 0;
+             bits &= bits - 1) {
+            const std::size_t bank =
+                w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+            const std::uint32_t head = queues.head[bank];
+            const std::uint64_t head_seq = slab_[head].seq;
+            if (head_seq < oldest_seq) {
+                oldest = head;
+                oldest_seq = head_seq;
+            }
+            if (!banks_.open(bank))
+                continue;
+            const Tick at = std::max(earliestCas(slab_[head], is_write), now);
+            if (!beats(at, head_seq))
+                continue;
+            const std::uint64_t row = banks_.row(bank);
+            std::uint32_t prev = kNil;
+            std::uint32_t i = head;
+            while (i != kNil && slab_[i].coord.row != row) {
+                prev = i;
+                i = slab_[i].next;
+            }
+            if (i == kNil || !beats(at, slab_[i].seq))
+                continue; // no queued request to the open row, or older best
+            best = Pick{i, prev, true, at};
+            best_seq = slab_[i].seq;
+        }
+    }
+    if (!best.row_hit)
+        best.index = oldest; // no row hit queued: oldest, ACT first
+    return best;
+}
+
+DdrCommand
+MemoryController::command(DdrCommandType type, const Request &req,
+                          Tick at) const
 {
     DdrCommand cmd;
     cmd.type = type;
@@ -109,6 +179,13 @@ MemoryController::emit(DdrCommandType type, const Request &req, Tick at)
     cmd.issue = at;
     // Four command slots per buffer-device cycle (Sec. IV-C).
     cmd.slot = static_cast<unsigned>(clock_.cyclesAt(at) % 4);
+    return cmd;
+}
+
+void
+MemoryController::emit(DdrCommandType type, const Request &req, Tick at)
+{
+    const DdrCommand cmd = command(type, req, at);
     dimm_.onCommand(cmd);
     if (observer_)
         observer_->observe(cmd);
@@ -186,25 +263,22 @@ MemoryController::earliestCas(const Request &req, bool is_write) const
 }
 
 bool
-MemoryController::issueRequest(std::deque<Request> &queue,
-                               std::size_t index, bool is_write)
+MemoryController::issueRequest(BankQueues &queues, const Pick &choice,
+                               bool is_write)
 {
-    Request &req = queue[index];
+    Request &req = slab_[choice.index];
     const std::uint32_t bank = req.flat_bank;
     const Tick now = events_.now();
     const Tick period = clock_.period();
 
     // Open the right row first if needed.
-    if (!banks_.rowHit(bank, req.coord.row)) {
+    if (!choice.row_hit) {
         Tick when = std::max(now, banks_.readyAt(bank));
         if (banks_.open(bank)) {
             // PRE then ACT. Respect tRAS since the last ACT.
             when = std::max(when,
                             banks_.actAt(bank) + timing_.tRAS * period);
-            Request pre_req; // coordinates only
-            pre_req.addr = req.addr;
-            pre_req.coord = req.coord;
-            emit(DdrCommandType::kPrecharge, pre_req, when);
+            emit(DdrCommandType::kPrecharge, req, when);
             when += timing_.tRP * period;
             ++stats_.row_conflicts;
         } else {
@@ -219,8 +293,7 @@ MemoryController::issueRequest(std::deque<Request> &queue,
         return false; // CAS not issued this pass
     }
 
-    const Tick cas_at =
-        clock_.nextEdge(std::max(earliestCas(req, is_write), now));
+    const Tick cas_at = clock_.nextEdge(choice.cas_at);
     if (cas_at > now) {
         // Not issuable yet; try again when the spacing rules allow.
         requestPass(cas_at);
@@ -232,8 +305,17 @@ MemoryController::issueRequest(std::deque<Request> &queue,
     // Issue the CAS now. Row hits are CASes that never needed an ACT.
     if (!req.needed_act)
         ++stats_.row_hits;
-    Request done = std::move(req);
-    queue.erase(queue.begin() + static_cast<long>(index));
+    // Unlink from the bank FIFO. The slot stays allocated, holding the
+    // burst's data and callback, until the burst completes.
+    if (choice.prev == kNil)
+        queues.head[bank] = req.next;
+    else
+        slab_[choice.prev].next = req.next;
+    if (queues.tail[bank] == choice.index)
+        queues.tail[bank] = choice.prev;
+    if (queues.head[bank] == kNil)
+        queues.nonempty[bank / 64] &= ~(std::uint64_t{1} << (bank % 64));
+    --queues.size;
 
     const Cycles cas_latency = is_write ? timing_.tCWL : timing_.tCL;
     const Tick data_start = cas_at + cas_latency * period;
@@ -254,104 +336,87 @@ MemoryController::issueRequest(std::deque<Request> &queue,
     bus_busy_cycles_ += timing_.tBL;
 
     if (is_write) {
-        emit(DdrCommandType::kWriteCas, done, cas_at);
+        emit(DdrCommandType::kWriteCas, req, cas_at);
         ++stats_.writes;
-        // The burst reaches the device at the end of the data
-        // transfer. The capture *owns* the burst bytes and the
-        // completion callback (move-only Callback — no shared_ptr
-        // indirection, no nested std::function copy).
-        DdrCommand cmd;
-        cmd.type = DdrCommandType::kWriteCas;
-        cmd.coord = done.coord;
-        cmd.addr = done.addr;
-        cmd.issue = cas_at;
-        cmd.slot = static_cast<unsigned>(clock_.cyclesAt(cas_at) % 4);
-        events_.schedule(data_end,
-                         [this, cmd, data = std::move(done.write_data),
-                          cb = std::move(done.cb)]() mutable {
-            dimm_.onWrite(cmd, data.data());
-            if (cb)
-                cb(events_.now(), MemStatus::kOk);
-        });
     } else {
-        emit(DdrCommandType::kReadCas, done, cas_at);
-        DdrCommand cmd;
-        cmd.type = DdrCommandType::kReadCas;
-        cmd.coord = done.coord;
-        cmd.addr = done.addr;
-        cmd.issue = cas_at;
-        cmd.slot = static_cast<unsigned>(clock_.cyclesAt(cas_at) % 4);
-        auto *read_data = done.read_data;
-        auto retries = done.retries;
-        const Tick enq = done.enqueued;
-        events_.schedule(data_end,
-                         [this, cmd, read_data,
-                          cb = std::move(done.cb), retries,
-                          enq]() mutable {
-            const ReadResponse resp = dimm_.onRead(cmd, read_data);
-            if (resp == ReadResponse::kAlertN) {
-                // S13: device asserted ALERT_N — requeue the rdCAS.
-                retryAlert(cmd, read_data, std::move(cb), retries, enq,
-                           /*spurious=*/false);
-                return;
-            }
-            if (fault_plan_ && fault_plan_->armed(fault::Site::kAlertStorm)
-                && fault_plan_->shouldInject(
-                       fault::Site::kAlertStorm,
-                       {static_cast<int>(channel_), -1})) {
-                // Injected storm: treat the good read as if the device
-                // had asserted ALERT_N (data is discarded and re-read).
-                retryAlert(cmd, read_data, std::move(cb), retries, enq,
-                           /*spurious=*/true);
-                return;
-            }
-            ++stats_.reads;
-            read_latency_.sample(events_.now() - enq);
-            if (cb)
-                cb(events_.now(), MemStatus::kOk);
-        });
-        // Count the read at issue for scheduling purposes: stats_.reads
-        // is incremented at completion above; nothing else here.
+        emit(DdrCommandType::kReadCas, req, cas_at);
     }
+    // The burst reaches the device at the end of the data transfer.
+    events_.schedule(data_end,
+                     [this, index = choice.index, cas_at, is_write] {
+        finishBurst(index, cas_at, is_write);
+    });
     return true;
 }
 
 void
-MemoryController::retryAlert(const DdrCommand &cmd, std::uint8_t *read_data,
-                             MemCallback cb, unsigned retries,
-                             Tick enq, bool spurious)
+MemoryController::finishBurst(std::uint32_t index, Tick cas_at,
+                              bool is_write)
 {
+    const DdrCommand cmd =
+        command(is_write ? DdrCommandType::kWriteCas
+                         : DdrCommandType::kReadCas,
+                slab_[index], cas_at);
+    if (is_write) {
+        dimm_.onWrite(cmd, slab_[index].write_data.data());
+        complete(index, MemStatus::kOk);
+        return;
+    }
+    if (dimm_.onRead(cmd, slab_[index].read_data) == ReadResponse::kAlertN) {
+        // S13: device asserted ALERT_N — requeue the rdCAS.
+        retryAlert(index, /*spurious=*/false);
+        return;
+    }
+    if (fault_plan_ && fault_plan_->armed(fault::Site::kAlertStorm) &&
+        fault_plan_->shouldInject(fault::Site::kAlertStorm,
+                                  {static_cast<int>(channel_), -1})) {
+        // Injected storm: treat the good read as if the device had
+        // asserted ALERT_N (data is discarded and re-read).
+        retryAlert(index, /*spurious=*/true);
+        return;
+    }
+    ++stats_.reads;
+    read_latency_.sample(events_.now() - slab_[index].enqueued);
+    complete(index, MemStatus::kOk);
+}
+
+void
+MemoryController::complete(std::uint32_t index, MemStatus status)
+{
+    // Free the slot before the callback runs: it may enqueue again.
+    MemCallback cb = std::move(slab_[index].cb);
+    free_.push_back(index);
+    if (cb)
+        cb(events_.now(), status);
+}
+
+void
+MemoryController::retryAlert(std::uint32_t index, bool spurious)
+{
+    const Addr addr = slab_[index].addr;
     ++stats_.alert_retries;
     if (spurious) {
         ++stats_.spurious_alerts;
-        SD_TRACE_FAULT_EVENT(cmd.addr / kPageSize, events_.now(), cmd.addr);
+        SD_TRACE_FAULT_EVENT(addr / kPageSize, events_.now(), addr);
     }
 
-    const unsigned attempt = retries + 1;
+    const unsigned attempt = slab_[index].retries + 1;
     if (attempt >= config_.alert_max_retries) {
         // Retry budget exhausted: hand the (possibly stale) line back
         // as degraded instead of wedging the channel. The host stack
         // decides how to recover (Sec. IV-D's fallback path).
         ++stats_.degraded_reads;
-        SD_TRACE_FAULT_EVENT(cmd.addr / kPageSize, events_.now(), cmd.addr);
+        SD_TRACE_FAULT_EVENT(addr / kPageSize, events_.now(), addr);
         ++stats_.reads;
-        read_latency_.sample(events_.now() - enq);
-        if (cb)
-            cb(events_.now(), MemStatus::kDegraded);
+        // Latency spans all retries.
+        read_latency_.sample(events_.now() - slab_[index].enqueued);
+        complete(index, MemStatus::kDegraded);
         return;
     }
-
-    Request retry;
-    retry.addr = cmd.addr;
-    retry.coord = cmd.coord;
-    retry.flat_bank = cmd.coord.flatBank(map_.geometry());
-    retry.read_data = read_data;
-    retry.cb = std::move(cb);
-    retry.enqueued = enq; // latency spans all retries
-    retry.retries = attempt;
+    slab_[index].retries = attempt;
 
     if (attempt <= config_.alert_fast_retries) {
-        read_q_.push_back(std::move(retry));
+        push(reads_, index);
         kick();
         return;
     }
@@ -364,8 +429,8 @@ MemoryController::retryAlert(const DdrCommand &cmd, std::uint8_t *read_data,
     const Cycles backoff = std::min(config_.alert_backoff_base << shift,
                                     config_.alert_backoff_cap);
     events_.schedule(events_.now() + backoff * clock_.period(),
-                     [this, retry = std::move(retry)]() mutable {
-        read_q_.push_back(std::move(retry));
+                     [this, index] {
+        push(reads_, index);
         kick();
     });
 }
@@ -373,7 +438,7 @@ MemoryController::retryAlert(const DdrCommand &cmd, std::uint8_t *read_data,
 void
 MemoryController::updateWriteDrain()
 {
-    if (write_q_.size() >= config_.write_high_watermark) {
+    if (writes_.size >= config_.write_high_watermark) {
         // kWriteDrainDelay: suppress the drain transition this pass so
         // the write queue keeps backing up (exercises queue-pressure
         // paths above the high watermark).
@@ -385,7 +450,7 @@ MemoryController::updateWriteDrain()
         if (!delayed)
             write_drain_ = true;
     }
-    if (write_q_.size() <= config_.write_low_watermark)
+    if (writes_.size <= config_.write_low_watermark)
         write_drain_ = false;
 }
 
@@ -398,12 +463,12 @@ MemoryController::schedulePass()
 
     for (;;) {
         const bool service_writes =
-            write_drain_ || (read_q_.empty() && !write_q_.empty());
-        std::deque<Request> &queue = service_writes ? write_q_ : read_q_;
-        if (queue.empty())
+            write_drain_ || (reads_.size == 0 && writes_.size != 0);
+        BankQueues &queues = service_writes ? writes_ : reads_;
+        if (queues.size == 0)
             break;
-        const std::size_t index = pickFrFcfs(queue);
-        if (!issueRequest(queue, index, service_writes))
+        if (!issueRequest(queues, pick(queues, service_writes),
+                          service_writes))
             break; // waiting on a bank/bus event already requested
         // Keep issuing while commands fit at the current tick.
         updateWriteDrain();

@@ -1,8 +1,9 @@
 /**
  * @file
- * Per-channel DDR4 memory controller: FR-FCFS scheduling over split
- * read/write queues with watermark-based write draining and pipelined
- * CAS issue (see earliestCas). The write batching plus bus-turnaround
+ * Per-channel DDR4 memory controller: ready-first FR-FCFS scheduling
+ * over split read/write queues, each indexed per bank, with
+ * watermark-based write draining and pipelined CAS issue (see
+ * earliestCas). The write batching plus bus-turnaround
  * costs produce the gap between a CompCpy's sbuf rdCAS and the
  * matching dbuf wrCAS that SmartDIMM's inline offload depends on
  * (Sec. IV-D; bench/micro_slack measures it).
@@ -11,9 +12,8 @@
 #ifndef SD_MEM_MEMORY_CONTROLLER_H
 #define SD_MEM_MEMORY_CONTROLLER_H
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/stats.h"
@@ -111,8 +111,8 @@ class MemoryController
      */
     void setFaultPlan(fault::FaultPlan *plan) { fault_plan_ = plan; }
 
-    /** @return pending request count (both queues + in flight). */
-    std::size_t pending() const { return read_q_.size() + write_q_.size(); }
+    /** @return queued request count, both directions. */
+    std::size_t pending() const { return reads_.size + writes_.size; }
 
     const ControllerStats &stats() const { return stats_; }
     void resetStats() { stats_ = ControllerStats{}; }
@@ -136,17 +136,58 @@ class MemoryController
     void setCoalesceWakeups(bool on) { coalesce_wakeups_ = on; }
 
   private:
+    /** Null slab index: end of a bank FIFO, or no pick. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /**
+     * A request owns its slab slot from enqueue until its burst
+     * completes; the completion event carries only the slot index.
+     * The fields the pick reads come first.
+     */
     struct Request
     {
-        Addr addr;
+        std::uint32_t next = kNil;   ///< next-younger request, same bank
+        std::uint32_t flat_bank = 0; ///< precomputed bank-index key
+        std::uint64_t seq = 0;       ///< enqueue order: smaller is older
         DramCoord coord;
-        std::uint32_t flat_bank = 0; ///< precomputed FR-FCFS scan key
+        Addr addr = 0;
         std::uint8_t *read_data = nullptr;
-        std::vector<std::uint8_t> write_data;
         MemCallback cb;
         Tick enqueued = 0;
         unsigned retries = 0;
         bool needed_act = false; ///< ACT was issued for this request
+        std::array<std::uint8_t, kCacheLineSize> write_data{};
+    };
+
+    /**
+     * One direction's queue, indexed by bank: a FIFO per flat bank,
+     * linked through the request slab, plus a bitmask of the banks
+     * holding any request. A bank's FIFO is in enqueue (seq) order.
+     */
+    struct BankQueues
+    {
+        explicit BankQueues(std::size_t banks)
+            : head(banks, kNil), tail(banks, kNil),
+              nonempty((banks + 63) / 64, 0)
+        {
+        }
+
+        std::vector<std::uint32_t> head;
+        std::vector<std::uint32_t> tail;
+        std::vector<std::uint64_t> nonempty; ///< bit per flat bank
+        std::size_t size = 0;                ///< running request count
+    };
+
+    /**
+     * The request a pass serves. A row hit carries the tick its CAS
+     * may issue; otherwise the request needs its row opened first.
+     */
+    struct Pick
+    {
+        std::uint32_t index = kNil; ///< slab slot
+        std::uint32_t prev = kNil;  ///< predecessor in its bank FIFO
+        bool row_hit = false;
+        Tick cas_at = 0; ///< row hits: max(earliestCas, now)
     };
 
     void kick();           ///< request a pass at the next clock edge
@@ -155,24 +196,38 @@ class MemoryController
      * through here (sdlint's wakeup-bypass rule enforces it). A
      * request already covered by a pending pass at an earlier-or-
      * equal tick is dropped — the pass re-derives any later wakeup
-     * it still needs, because the FR-FCFS pick is stable between
-     * passes and computed issue ticks never recede.
+     * it still needs: computed issue ticks never recede, and a pass
+     * before the earliest candidate's tick issues nothing.
      */
     void requestPass(Tick when);
-    void retryAlert(const DdrCommand &cmd, std::uint8_t *read_data,
-                    MemCallback cb, unsigned retries, Tick enq,
-                    bool spurious);
+    /** Requeue the read in slot @p index, or fail it as degraded. */
+    void retryAlert(std::uint32_t index, bool spurious);
     void updateWriteDrain(); ///< watermark hysteresis + injected delay
     void schedulePass();   ///< pick and issue the next command
-    bool issueRequest(std::deque<Request> &queue, std::size_t index,
-                      bool is_write);
+    /** Take a free slab slot for a new request; @return its index. */
+    std::uint32_t allocRequest(Addr line_addr, MemCallback cb);
+    /** Append slot @p index to the tail of its bank's FIFO, as youngest. */
+    void push(BankQueues &queues, std::uint32_t index);
+    /**
+     * Ready-first FR-FCFS: among banks whose open row some queued
+     * request targets, the bank's oldest such request, earliest CAS
+     * tick first and then oldest; with no row hit queued, the oldest
+     * request. Precondition: @p queues is not empty.
+     */
+    Pick pick(const BankQueues &queues, bool is_write) const;
+    bool issueRequest(BankQueues &queues, const Pick &choice, bool is_write);
+    /** Data-burst end: hand the line to or from the device. */
+    void finishBurst(std::uint32_t index, Tick cas_at, bool is_write);
+    /** Free slot @p index, then run its completion callback. */
+    void complete(std::uint32_t index, MemStatus status);
     /**
      * Earliest tick @p req's CAS may issue: the one home of the DDR4
      * column spacing rules (DESIGN.md §12). CASes pipeline, so the
      * next one need not wait for the previous burst's data.
      */
     Tick earliestCas(const Request &req, bool is_write) const;
-    std::size_t pickFrFcfs(const std::deque<Request> &queue) const;
+    DdrCommand command(DdrCommandType type, const Request &req,
+                       Tick at) const;
     void emit(DdrCommandType type, const Request &req, Tick at);
 
     EventQueue &events_;
@@ -185,8 +240,12 @@ class MemoryController
     fault::FaultPlan *fault_plan_ = nullptr;
     ClockDomain clock_{625}; // DDR4-3200 command clock
 
-    std::deque<Request> read_q_;
-    std::deque<Request> write_q_;
+    /** Request slab, queued and in-flight; free slots in free_. */
+    std::vector<Request> slab_;
+    std::vector<std::uint32_t> free_;
+    std::uint64_t next_seq_ = 0;
+    BankQueues reads_;
+    BankQueues writes_;
     BankStateSoA banks_;
     unsigned banks_per_group_;
     /** Per (dimm, rank, bank group): last CAS + tCCD_L. */

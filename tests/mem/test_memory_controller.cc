@@ -1,13 +1,14 @@
 /**
  * @file
- * Memory controller: data round trips, FR-FCFS row hits, write
- * batching (the rd->wr slack SmartDIMM depends on), ALERT_N retry,
- * and command-trace observation.
+ * Memory controller: data round trips, ready-first FR-FCFS row hits,
+ * write batching (the rd->wr slack SmartDIMM depends on), ALERT_N
+ * retry, and command-trace observation.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <map>
 #include <utility>
@@ -101,6 +102,15 @@ dataEnd(const DdrCommand &cas, const DramTiming &t)
     return dataStart(cas, t) + t.tBL * kPeriod;
 }
 
+/** A bank of one channel: DIMM slot, rank, bank group, bank. */
+struct BankId
+{
+    unsigned dimm = 0;
+    unsigned rank = 0;
+    unsigned bank_group = 0;
+    unsigned bank = 0;
+};
+
 /** Line address of (bank group, bank, column) in row 0. */
 Addr
 lineAt(const AddressMap &map, unsigned bank_group, unsigned bank,
@@ -123,8 +133,8 @@ struct Rig
     MemoryController mc;
     Tracer tracer;
 
-    Rig()
-        : geometry(makeGeometry()), map(geometry, ChannelInterleave::kNone),
+    explicit Rig(const DramGeometry &g = makeGeometry())
+        : geometry(g), map(geometry, ChannelInterleave::kNone),
           dimm(store), mc(events, map, DramTiming{}, ControllerConfig{},
                           0, dimm)
     {
@@ -346,19 +356,20 @@ TEST(MemoryController, ReadsAlternatingBankGroupsFillTheDataBus)
         << busy << " busy of " << span_cycles << " cycles";
 }
 
-TEST(MemoryController, MixedStreamKeepsSpacingRulesAndBankOrder)
+/**
+ * Seeded 400-request read/write stream over @p banks, one row each,
+ * so the pick never has cause to reorder within a bank. Checks every
+ * CAS spacing rule, per-bank per-direction enqueue order, and that
+ * same-direction bursts pipeline back to back.
+ */
+void
+checkMixedStream(Rig &rig, const std::vector<BankId> &banks)
 {
-    Rig rig;
     const DramTiming t;
     Rng rng(13);
-
-    // Six banks over four bank groups, one row each, so FR-FCFS's
-    // row-hit-first pick never has cause to reorder within a bank.
-    const std::pair<unsigned, unsigned> banks[] = {
-        {0, 0}, {0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 1}};
     std::uint8_t sink[64];
     std::uint8_t line[64] = {0x3c};
-    unsigned next_col[6][2] = {};
+    std::vector<std::array<unsigned, 2>> next_col(banks.size());
 
     // Requests arrive in bursts and gaps; each (bank, direction) gets
     // rising columns, so a column records its enqueue order.
@@ -366,10 +377,15 @@ TEST(MemoryController, MixedStreamKeepsSpacingRulesAndBankOrder)
     Tick at = 0;
     for (int i = 0; i < kRequests; ++i) {
         at += rng.below(8) * kPeriod;
-        const std::size_t b = rng.below(6);
+        const std::size_t b = rng.below(banks.size());
         const bool write = rng.chance(0.5);
-        const Addr addr = lineAt(rig.map, banks[b].first, banks[b].second,
-                                 next_col[b][write]++);
+        DramCoord coord;
+        coord.dimm = banks[b].dimm;
+        coord.rank = banks[b].rank;
+        coord.bank_group = banks[b].bank_group;
+        coord.bank = banks[b].bank;
+        coord.col = next_col[b][write]++;
+        const Addr addr = rig.map.compose(coord);
         rig.events.schedule(at, [&rig, &sink, &line, addr, write] {
             if (write)
                 rig.mc.enqueueWrite(addr, line);
@@ -442,5 +458,83 @@ TEST(MemoryController, MixedStreamKeepsSpacingRulesAndBankOrder)
     EXPECT_GT(back_to_back, 0)
         << "same-direction CASes must pipeline their bursts";
 }
+
+TEST(MemoryController, MixedStreamKeepsSpacingRulesAndBankOrder)
+{
+    Rig rig;
+    // Six banks over four bank groups.
+    checkMixedStream(rig, {{0, 0, 0, 0}, {0, 0, 0, 1}, {0, 0, 1, 0},
+                           {0, 0, 1, 2}, {0, 0, 2, 3}, {0, 0, 3, 1}});
+}
+
+TEST(MemoryController, MixedStreamHoldsPastSixtyFourBanks)
+{
+    // 4 DIMMs x 2 ranks x 16 banks = 128 banks per channel: the
+    // bank index spans two 64-bit words.
+    DramGeometry g = Rig::makeGeometry();
+    g.dimms_per_channel = 4;
+    g.ranks = 2;
+    ASSERT_GT(g.totalBanks(), 64u);
+    Rig rig(g);
+    // Flat banks 1, 6, 63, 64, 100 and 127: both ends of both words.
+    checkMixedStream(rig, {{0, 0, 0, 1}, {0, 0, 1, 2}, {1, 1, 3, 3},
+                           {2, 0, 0, 0}, {3, 0, 1, 0}, {3, 1, 3, 3}});
+}
+
+TEST(MemoryController, ReadyRowHitIsNotHeldBehindABlockedOne)
+{
+    Rig rig;
+    const DramTiming t;
+    std::uint8_t buf[64];
+    rig.readSync(lineAt(rig.map, 0, 0, 0), buf); // open both rows
+    rig.readSync(lineAt(rig.map, 1, 0, 0), buf);
+    rig.tracer.trace.clear();
+
+    // A2 waits tCCD_L behind A1 in bank group 0; B1 in group 1 needs
+    // only tCCD_S, so it goes between them.
+    const Addr a1 = lineAt(rig.map, 0, 0, 1);
+    const Addr a2 = lineAt(rig.map, 0, 0, 2);
+    const Addr b1 = lineAt(rig.map, 1, 0, 1);
+    for (const Addr addr : {a1, a2, b1})
+        rig.mc.enqueueRead(addr, buf, nullptr);
+    rig.events.run();
+
+    const auto cas = casCommands(rig.tracer.trace);
+    ASSERT_EQ(cas.size(), 3u);
+    EXPECT_EQ(cas[0].addr, a1);
+    EXPECT_EQ(cas[1].addr, b1);
+    EXPECT_EQ(cas[2].addr, a2);
+    EXPECT_EQ(cas[1].issue - cas[0].issue, t.tCCD_S * kPeriod);
+    EXPECT_EQ(cas[2].issue - cas[1].issue, (t.tCCD_L - t.tCCD_S) * kPeriod);
+}
+
+TEST(MemoryController, EqualIssueTicksGoToTheOlderRequest)
+{
+    Rig rig;
+    const DramTiming t;
+    std::uint8_t buf[64];
+    for (unsigned group = 0; group < 3; ++group)
+        rig.readSync(lineAt(rig.map, group, 0, 0), buf); // open rows
+    rig.tracer.trace.clear();
+
+    // After C issues, B (group 1) and A (group 0) share one CAS tick,
+    // C + tCCD_S. B is older, so it goes first although A's bank
+    // comes first in bank order.
+    const Addr c = lineAt(rig.map, 2, 0, 1);
+    const Addr b = lineAt(rig.map, 1, 0, 1);
+    const Addr a = lineAt(rig.map, 0, 0, 1);
+    for (const Addr addr : {c, b, a})
+        rig.mc.enqueueRead(addr, buf, nullptr);
+    rig.events.run();
+
+    const auto cas = casCommands(rig.tracer.trace);
+    ASSERT_EQ(cas.size(), 3u);
+    EXPECT_EQ(cas[0].addr, c);
+    EXPECT_EQ(cas[1].addr, b);
+    EXPECT_EQ(cas[2].addr, a);
+    EXPECT_EQ(cas[1].issue - cas[0].issue, t.tCCD_S * kPeriod);
+    EXPECT_EQ(cas[2].issue - cas[1].issue, t.tCCD_S * kPeriod);
+}
+
 
 } // namespace
