@@ -11,9 +11,9 @@ Cache::Cache(const CacheConfig &config)
     : config_(config), cpu_ways_(std::min(config.cpu_ways, config.ways)),
       sets_(config.sets()),
       set_mask_((sets_ & (sets_ - 1)) == 0 ? sets_ - 1 : 0),
-      tags_(sets_ * config.ways, kInvalidTag),
-      lru_(tags_.size(), 0), dirty_(tags_.size(), 0),
-      data_(tags_.size() * kCacheLineSize, 0)
+      blocks_(sets_),
+      data_word_(2 * config.ways + (config.ways + 7) / 8),
+      block_words_(data_word_ + config.ways * kCacheLineSize / 8)
 {
     SD_ASSERT(sets_ > 0, "cache smaller than one set");
     SD_ASSERT(config.ddio_ways <= config.ways,
@@ -29,16 +29,29 @@ Cache::setIndex(Addr addr) const
     return set_mask_ ? (line & set_mask_) : (line % sets_);
 }
 
-std::size_t
+Cache::Slot
 Cache::find(Addr addr) const
 {
     const Addr line = lineAlign(addr);
-    const std::size_t base = setIndex(line) * config_.ways;
-    const Addr *tags = tags_.data() + base;
-    for (unsigned w = 0; w < config_.ways; ++w)
-        if (tags[w] == line)
-            return base + w;
-    return kNotFound;
+    std::uint64_t *block = blocks_[setIndex(line)].get();
+    if (block)
+        for (unsigned w = 0; w < config_.ways; ++w)
+            if (block[w] == line)
+                return {block, w};
+    return {};
+}
+
+std::uint64_t *
+Cache::materialise(std::size_t set)
+{
+    std::unique_ptr<std::uint64_t[]> &block = blocks_[set];
+    if (!block) {
+        // Value-initialised: LRU stamps, dirty bytes and data zero.
+        block = std::make_unique<std::uint64_t[]>(block_words_);
+        std::fill_n(block.get(), config_.ways, kInvalidTag);
+        ++materialised_;
+    }
+    return block.get();
 }
 
 AccessResult
@@ -48,11 +61,11 @@ Cache::access(Addr addr, bool is_write, AllocClass cls,
     const Addr line_addr = lineAlign(addr);
     AccessResult result;
 
-    if (const std::size_t slot = find(line_addr); slot != kNotFound) {
+    if (const Slot slot = find(line_addr); slot.block) {
         ++stats_.hits;
         ++probe_hits_;
-        lru_[slot] = ++lru_clock_;
-        dirty_[slot] |= is_write;
+        lru(slot.block)[slot.way] = ++lru_clock_;
+        dirty(slot.block)[slot.way] |= is_write;
         result.hit = true;
         return result;
     }
@@ -73,29 +86,30 @@ Cache::access(Addr addr, bool is_write, AllocClass cls,
         hi = std::max(1u, cpu_ways_);
     }
 
-    const std::size_t base = setIndex(line_addr) * config_.ways;
-    std::size_t victim = base + lo;
+    std::uint64_t *block = materialise(setIndex(line_addr));
+    Addr *tags = block;
+    std::uint64_t *stamps = lru(block);
+    std::uint8_t *dirt = dirty(block);
+    unsigned victim = lo;
     for (unsigned w = lo; w < hi; ++w) {
-        const std::size_t slot = base + w;
-        if (tags_[slot] == kInvalidTag) {
-            victim = slot;
+        if (tags[w] == kInvalidTag) {
+            victim = w;
             break;
         }
-        if (lru_[slot] < lru_[victim])
-            victim = slot;
+        if (stamps[w] < stamps[victim])
+            victim = w;
     }
 
-    if (tags_[victim] != kInvalidTag && dirty_[victim]) {
-        result.writeback = tags_[victim];
-        std::memcpy(result.writeback_data.data(),
-                    data_.data() + victim * kCacheLineSize,
+    if (tags[victim] != kInvalidTag && dirt[victim]) {
+        result.writeback = tags[victim];
+        std::memcpy(result.writeback_data.data(), data({block, victim}),
                     kCacheLineSize);
         ++stats_.writebacks;
     }
 
-    tags_[victim] = line_addr;
-    dirty_[victim] = is_write;
-    lru_[victim] = ++lru_clock_;
+    tags[victim] = line_addr;
+    dirt[victim] = is_write;
+    stamps[victim] = ++lru_clock_;
     ++stats_.fills;
     result.filled = !(is_write && full_line_store);
     return result;
@@ -106,17 +120,16 @@ Cache::flush(Addr addr)
 {
     ++stats_.flushes;
     FlushResult result;
-    if (const std::size_t slot = find(addr); slot != kNotFound) {
+    if (const Slot slot = find(addr); slot.block) {
+        std::uint8_t &dirt = dirty(slot.block)[slot.way];
         result.present = true;
-        result.dirty = dirty_[slot] != 0;
+        result.dirty = dirt != 0;
         if (result.dirty) {
             ++stats_.flush_dirty;
-            std::memcpy(result.data.data(),
-                        data_.data() + slot * kCacheLineSize,
-                        kCacheLineSize);
+            std::memcpy(result.data.data(), data(slot), kCacheLineSize);
         }
-        tags_[slot] = kInvalidTag;
-        dirty_[slot] = 0;
+        slot.block[slot.way] = kInvalidTag;
+        dirt = 0;
     }
     return result;
 }
@@ -124,10 +137,8 @@ Cache::flush(Addr addr)
 std::uint8_t *
 Cache::dataPtr(Addr addr)
 {
-    const std::size_t slot = find(addr);
-    if (slot == kNotFound)
-        return nullptr;
-    return data_.data() + slot * kCacheLineSize;
+    const Slot slot = find(addr);
+    return slot.block ? data(slot) : nullptr;
 }
 
 const std::uint8_t *
@@ -139,14 +150,14 @@ Cache::dataPtr(Addr addr) const
 bool
 Cache::contains(Addr addr) const
 {
-    return find(addr) != kNotFound;
+    return find(addr).block != nullptr;
 }
 
 bool
 Cache::isDirty(Addr addr) const
 {
-    const std::size_t slot = find(addr);
-    return slot != kNotFound && dirty_[slot];
+    const Slot slot = find(addr);
+    return slot.block && dirty(slot.block)[slot.way];
 }
 
 void

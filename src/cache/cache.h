@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -76,10 +77,9 @@ struct AccessResult
 };
 
 /**
- * The LLC model. Data does not live here — the simulator keeps data in
- * the memory BackingStore and treats cached dirty lines as "newer than
- * memory" only where the experiment needs it (CompCpy tracks its own
- * buffers). The cache tracks tags, dirtiness and LRU exactly.
+ * The LLC model. It tracks tags, dirtiness and LRU exactly and holds
+ * each resident line's 64 bytes (dataPtr()); a dirty victim or a
+ * flushed dirty line hands its bytes back for the memory write.
  */
 class Cache
 {
@@ -133,6 +133,9 @@ class Cache
     const CacheStats &stats() const { return stats_; }
     void resetStats() { stats_ = CacheStats{}; }
 
+    /** Sets whose storage has been allocated (footprint diagnostics). */
+    std::size_t materialisedSets() const { return materialised_; }
+
     /**
      * Windowed miss-rate probe (the software stack's LLC contention
      * signal, Sec. V-C): miss rate since the last probe call.
@@ -144,27 +147,54 @@ class Cache
      *  line-aligned addresses and can never equal ~0). */
     static constexpr Addr kInvalidTag = ~Addr{0};
 
-    /** Absent-line sentinel for find(). */
-    static constexpr std::size_t kNotFound = ~std::size_t{0};
+    /** A way of a materialised set; block is null when absent. */
+    struct Slot
+    {
+        std::uint64_t *block = nullptr;
+        unsigned way = 0;
+    };
 
     std::size_t setIndex(Addr addr) const;
-    /** @return flat line slot (set * ways + way), or kNotFound. */
-    std::size_t find(Addr addr) const;
+    Slot find(Addr addr) const;
+    /** The block of set @p set, allocated on its first fill. */
+    std::uint64_t *materialise(std::size_t set);
+
+    /** Views into a set block; see blocks_. */
+    std::uint64_t *
+    lru(std::uint64_t *block) const
+    {
+        return block + config_.ways;
+    }
+    std::uint8_t *
+    dirty(std::uint64_t *block) const
+    {
+        return reinterpret_cast<std::uint8_t *>(block + 2 * config_.ways);
+    }
+    std::uint8_t *
+    data(const Slot &slot) const
+    {
+        return reinterpret_cast<std::uint8_t *>(slot.block + data_word_) +
+               std::size_t{slot.way} * kCacheLineSize;
+    }
 
     CacheConfig config_;
     unsigned cpu_ways_;
     std::size_t sets_;     ///< cached config_.sets()
     std::size_t set_mask_; ///< sets_ - 1 when a power of two, else 0
     /**
-     * Structure-of-arrays line state (sets x ways, row-major). The
-     * tag probe — the hottest loop in the memory system — touches
-     * only tags_: 16 ways x 8 B = two cache lines, with validity
-     * folded into the tag as kInvalidTag instead of a separate flag.
+     * Per-set line state, allocated on the set's first fill: a run
+     * touches a small part of a 32 MB LLC, so untouched sets cost one
+     * null pointer. Each block is structure-of-arrays in 8-byte
+     * words: the ways' tags first, then LRU stamps, dirty bytes and
+     * 64 B of line data per way. The tag probe — the hottest loop in
+     * the memory system — touches only the tags: 16 ways x 8 B = two
+     * cache lines, with validity folded into the tag as kInvalidTag
+     * instead of a separate flag. A fresh block's data reads zero.
      */
-    std::vector<Addr> tags_;
-    std::vector<std::uint64_t> lru_;
-    std::vector<std::uint8_t> dirty_;
-    std::vector<std::uint8_t> data_; ///< 64 B per line slot
+    std::vector<std::unique_ptr<std::uint64_t[]>> blocks_;
+    std::size_t data_word_;   ///< word offset of the line data
+    std::size_t block_words_; ///< words per set block
+    std::size_t materialised_ = 0;
     std::uint64_t lru_clock_ = 0;
     CacheStats stats_;
     std::uint64_t probe_hits_ = 0;

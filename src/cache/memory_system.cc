@@ -40,21 +40,64 @@ MemorySystem::cxlLink(unsigned channel) const
     return links_[channel];
 }
 
+std::uint32_t
+MemorySystem::parkOp(Callback cb)
+{
+    std::uint32_t index;
+    if (free_ops_.empty()) {
+        index = static_cast<std::uint32_t>(ops_.size());
+        ops_.push_back(std::make_unique<HostOp>());
+    } else {
+        index = free_ops_.back();
+        free_ops_.pop_back();
+    }
+    ops_[index]->cb = std::move(cb);
+    return index;
+}
+
+void
+MemorySystem::finishOp(std::uint32_t index, Tick at, mem::MemStatus status)
+{
+    if (status == mem::MemStatus::kDegraded)
+        ++degraded_reads_;
+    HostOp &op = *ops_[index];
+    if (op.dst) {
+        // A load miss: install into the already-allocated line (unless
+        // it was evicted meanwhile), then hand the bytes to the caller.
+        if (std::uint8_t *slot = llc_.dataPtr(op.line))
+            std::memcpy(slot, op.fill.data(), kCacheLineSize);
+        std::memcpy(op.dst, op.fill.data(), kCacheLineSize);
+        op.dst = nullptr;
+    }
+    // Free the slot before the callback runs: it may start another op.
+    Callback cb = std::move(op.cb);
+    free_ops_.push_back(index);
+    cb(at);
+}
+
+void
+MemorySystem::completeIn(Tick delay, Callback cb)
+{
+    events_.scheduleIn(delay, [this, index = parkOp(std::move(cb))] {
+        finishOp(index, events_.now(), mem::MemStatus::kOk);
+    });
+}
+
 mem::MemCallback
-MemorySystem::linked(Addr addr, mem::MemCallback cb)
+MemorySystem::dramDone(Addr addr, std::uint32_t index)
 {
     mem::CxlLink *link = links_[map_.decompose(addr).channel];
     if (!link)
-        return cb;
+        return [this, index](Tick at, mem::MemStatus status) {
+            finishOp(index, at, status);
+        };
     // The DRAM-side completion rides home over the CXL link: the flit
     // serializes on the shared wire and the response arrives a round
     // trip later. LLC hits never reach here.
-    return [link, cb = std::move(cb)](Tick,
-                                      mem::MemStatus status) mutable {
-        link->transfer(kCacheLineSize,
-                       [cb = std::move(cb), status](Tick at) mutable {
-                           cb(at, status);
-                       });
+    return [this, link, index](Tick, mem::MemStatus status) {
+        link->transfer(kCacheLineSize, [this, index, status](Tick at) {
+            finishOp(index, at, status);
+        });
     };
 }
 
@@ -126,26 +169,17 @@ MemorySystem::readLine(Addr addr, std::uint8_t *dst, Callback cb)
     const auto result = llc_.access(line, false, AllocClass::kCpu);
     if (result.hit) {
         std::memcpy(dst, llc_.dataPtr(line), kCacheLineSize);
-        events_.scheduleIn(latencies_.llc_hit, [this, cb = std::move(cb)]()
-                               mutable { cb(events_.now()); });
+        completeIn(latencies_.llc_hit, std::move(cb));
         return;
     }
     writebackVictim(result);
-    // Fetch from DRAM; install into the already-allocated line, then
-    // hand the bytes to the caller. The fill buffer rides inside the
-    // (move-only) completion callback.
-    auto fill = std::make_unique<std::array<std::uint8_t, kCacheLineSize>>();
-    std::uint8_t *fill_data = fill->data();
-    route(line).enqueueRead(
-        line, fill_data,
-        linked(line,
-               track([line, dst, fill = std::move(fill),
-                      cb = std::move(cb), this](Tick at) mutable {
-            if (std::uint8_t *slot = llc_.dataPtr(line))
-                std::memcpy(slot, fill->data(), kCacheLineSize);
-            std::memcpy(dst, fill->data(), kCacheLineSize);
-            cb(at);
-        })));
+    // Fetch from DRAM into the op's fill buffer; finishOp installs it.
+    const std::uint32_t index = parkOp(std::move(cb));
+    HostOp &op = *ops_[index];
+    op.line = line;
+    op.dst = dst;
+    op.fill.fill(0);
+    route(line).enqueueRead(line, op.fill.data(), dramDone(line, index));
 }
 
 void
@@ -157,8 +191,7 @@ MemorySystem::writeLine(Addr addr, const std::uint8_t *src, Callback cb)
     writebackVictim(result);
     if (std::uint8_t *slot = llc_.dataPtr(line))
         std::memcpy(slot, src, kCacheLineSize);
-    events_.scheduleIn(latencies_.store_commit, [this, cb = std::move(cb)]()
-                           mutable { cb(events_.now()); });
+    completeIn(latencies_.store_commit, std::move(cb));
 }
 
 void
@@ -168,25 +201,24 @@ MemorySystem::flushLine(Addr addr, Callback cb)
     const auto result = llc_.flush(line);
     if (result.dirty) {
         route(line).enqueueWrite(line, result.data.data(),
-                                 linked(line, track(std::move(cb))));
+                                 dramDone(line, parkOp(std::move(cb))));
         return;
     }
-    events_.scheduleIn(latencies_.flush_clean, [this, cb = std::move(cb)]()
-                           mutable { cb(events_.now()); });
+    completeIn(latencies_.flush_clean, std::move(cb));
 }
 
 void
 MemorySystem::mmioWrite(Addr addr, const std::uint8_t *src, Callback cb)
 {
     route(addr).enqueueWrite(lineAlign(addr), src,
-                             linked(addr, track(std::move(cb))));
+                             dramDone(addr, parkOp(std::move(cb))));
 }
 
 void
 MemorySystem::mmioRead(Addr addr, std::uint8_t *dst, Callback cb)
 {
     route(addr).enqueueRead(lineAlign(addr), dst,
-                            linked(addr, track(std::move(cb))));
+                            dramDone(addr, parkOp(std::move(cb))));
 }
 
 void
@@ -200,8 +232,7 @@ MemorySystem::dmaWriteLine(Addr addr, const std::uint8_t *src, Callback cb)
     writebackVictim(result);
     if (std::uint8_t *slot = llc_.dataPtr(line))
         std::memcpy(slot, src, kCacheLineSize);
-    events_.scheduleIn(latencies_.store_commit, [this, cb = std::move(cb)]()
-                           mutable { cb(events_.now()); });
+    completeIn(latencies_.store_commit, std::move(cb));
 }
 
 void
@@ -212,11 +243,10 @@ MemorySystem::dmaReadLine(Addr addr, std::uint8_t *dst, Callback cb)
     const Addr line = lineAlign(addr);
     if (const std::uint8_t *slot = llc_.dataPtr(line)) {
         std::memcpy(dst, slot, kCacheLineSize);
-        events_.scheduleIn(latencies_.llc_hit, [this, cb = std::move(cb)]()
-                               mutable { cb(events_.now()); });
+        completeIn(latencies_.llc_hit, std::move(cb));
         return;
     }
-    route(line).enqueueRead(line, dst, linked(line, track(std::move(cb))));
+    route(line).enqueueRead(line, dst, dramDone(line, parkOp(std::move(cb))));
 }
 
 void

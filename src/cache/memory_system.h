@@ -11,6 +11,7 @@
 #ifndef SD_CACHE_MEMORY_SYSTEM_H
 #define SD_CACHE_MEMORY_SYSTEM_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -178,22 +179,33 @@ class MemorySystem
     void writebackVictim(const AccessResult &result);
 
     /**
-     * Route @p cb through the channel's CXL link when the address
-     * lives on a far channel; identity on local channels.
+     * A host op in flight. Its completion waits here and events carry
+     * only the op's index, so no callback captures another callback
+     * (one would not fit UniqueFunctionT's inline buffer, and every
+     * line op would allocate). Ops are boxed so that fill stays put
+     * while the controller writes into it.
      */
-    mem::MemCallback linked(Addr addr, mem::MemCallback cb);
-
-    /** Wrap a host Callback as a MemCallback that tallies kDegraded. */
-    mem::MemCallback
-    track(Callback cb)
+    struct HostOp
     {
-        return [this, cb = std::move(cb)](Tick at,
-                                          mem::MemStatus status) mutable {
-            if (status == mem::MemStatus::kDegraded)
-                ++degraded_reads_;
-            cb(at);
-        };
-    }
+        Callback cb;
+        Addr line = 0;
+        /** Load miss: the caller's buffer, filled with the line and
+         *  installed into the LLC at completion; null otherwise. */
+        std::uint8_t *dst = nullptr;
+        std::array<std::uint8_t, kCacheLineSize> fill{};
+    };
+
+    /** Park @p cb in a free op slot; @return the slot's index. */
+    std::uint32_t parkOp(Callback cb);
+    /** Finish op @p index at @p at: free the slot, then run its cb. */
+    void finishOp(std::uint32_t index, Tick at, mem::MemStatus status);
+    /** Complete @p cb after a fixed host-side @p delay. */
+    void completeIn(Tick delay, Callback cb);
+    /**
+     * The DRAM-side completion of op @p index on @p addr's channel.
+     * On a far channel it first rides home over the CXL link.
+     */
+    mem::MemCallback dramDone(Addr addr, std::uint32_t index);
 
     EventQueue &events_;
     mem::AddressMap map_;
@@ -202,6 +214,8 @@ class MemorySystem
     HostLatencies latencies_;
     std::vector<std::unique_ptr<mem::MemoryController>> controllers_;
     std::vector<mem::CxlLink *> links_; ///< per channel; null = local
+    std::vector<std::unique_ptr<HostOp>> ops_;
+    std::vector<std::uint32_t> free_ops_;
     std::uint64_t degraded_reads_ = 0;
 };
 

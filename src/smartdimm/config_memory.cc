@@ -9,7 +9,7 @@ namespace sd::smartdimm {
 ConfigMemory::ConfigMemory(std::size_t total_bytes,
                            std::size_t context_bytes)
     : slots_(total_bytes / context_bytes), context_bytes_(context_bytes),
-      data_(total_bytes, 0)
+      contexts_(slots_)
 {
     SD_ASSERT(slots_ > 0, "config memory smaller than one context");
     free_.reserve(slots_);
@@ -24,7 +24,13 @@ ConfigMemory::allocate()
         return std::nullopt;
     const std::uint32_t slot = free_.back();
     free_.pop_back();
-    std::memset(data_.data() + slot * context_bytes_, 0, context_bytes_);
+    std::unique_ptr<std::uint8_t[]> &context = contexts_[slot];
+    if (context) {
+        std::memset(context.get(), 0, context_bytes_);
+    } else {
+        context = std::make_unique<std::uint8_t[]>(context_bytes_);
+        ++materialised_;
+    }
     ++stats_.slot_allocs;
     return slot;
 }
@@ -36,13 +42,21 @@ ConfigMemory::release(std::uint32_t slot)
     free_.push_back(slot);
 }
 
+std::uint8_t *
+ConfigMemory::context(std::uint32_t slot, std::size_t offset,
+                      std::size_t len) const
+{
+    SD_ASSERT(slot < slots_ && offset + len <= context_bytes_,
+              "context access out of range");
+    SD_ASSERT(contexts_[slot], "context slot %u never allocated", slot);
+    return contexts_[slot].get() + offset;
+}
+
 void
 ConfigMemory::write(std::uint32_t slot, std::size_t offset,
                     const std::uint8_t *data, std::size_t len)
 {
-    SD_ASSERT(slot < slots_ && offset + len <= context_bytes_,
-              "context write out of range");
-    std::memcpy(data_.data() + slot * context_bytes_ + offset, data, len);
+    std::memcpy(context(slot, offset, len), data, len);
     ++stats_.context_writes;
 }
 
@@ -50,9 +64,7 @@ void
 ConfigMemory::read(std::uint32_t slot, std::size_t offset,
                    std::uint8_t *dst, std::size_t len) const
 {
-    SD_ASSERT(slot < slots_ && offset + len <= context_bytes_,
-              "context read out of range");
-    std::memcpy(dst, data_.data() + slot * context_bytes_ + offset, len);
+    std::memcpy(dst, context(slot, offset, len), len);
     const_cast<ConfigMemoryStats &>(stats_).context_reads++;
 }
 

@@ -11,6 +11,7 @@
 #define SD_SMARTDIMM_CONFIG_MEMORY_H
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -53,14 +54,26 @@ class ConfigMemory
     std::size_t freeSlots() const { return free_.size(); }
     std::size_t capacitySlots() const { return slots_; }
     std::size_t contextBytes() const { return context_bytes_; }
+    /** Slots whose storage has been allocated (footprint diagnostics). */
+    std::size_t materialisedSlots() const { return materialised_; }
 
     const ConfigMemoryStats &stats() const { return stats_; }
     void resetStats() { stats_ = ConfigMemoryStats{}; }
 
   private:
+    /** The storage of an allocated @p slot, checking the range. */
+    std::uint8_t *context(std::uint32_t slot, std::size_t offset,
+                          std::size_t len) const;
+
     std::size_t slots_;
     std::size_t context_bytes_;
-    std::vector<std::uint8_t> data_;
+    /**
+     * Per-slot context storage, allocated the first time allocate()
+     * hands the slot out. The free list is LIFO, so a run holds only
+     * its peak number of live contexts, not the full 8 MB.
+     */
+    std::vector<std::unique_ptr<std::uint8_t[]>> contexts_;
+    std::size_t materialised_ = 0;
     std::vector<std::uint32_t> free_;
     ConfigMemoryStats stats_;
 };

@@ -262,6 +262,47 @@ TEST(Topology, SlotsOwnDisjointMmioWindows)
     }
 }
 
+/**
+ * A system costs storage only for what it touches: building a 4x2
+ * machine allocates no LLC set and no Config Memory context, and one
+ * 4 KB TLS offload on a slot materialises a handful of each.
+ */
+TEST(Topology, StorageIsAllocatedOnFirstUse)
+{
+    TopologySpec spec;
+    spec.channels = 4;
+    spec.dimms_per_channel = 2;
+    Topology topo(spec);
+    const cache::Cache &llc = topo.memory().llc();
+    EXPECT_EQ(llc.materialisedSets(), 0u);
+    for (unsigned s = 0; s < topo.slotCount(); ++s)
+        EXPECT_EQ(topo.slot(s).device.configMemory().materialisedSlots(),
+                  0u)
+            << "slot " << s;
+
+    Rng rng(5);
+    std::vector<std::uint8_t> plain(4096);
+    rng.fill(plain.data(), plain.size());
+    std::uint8_t key[16];
+    rng.fill(key, sizeof(key));
+    crypto::GcmIv iv{};
+    rng.fill(iv.data(), iv.size());
+    runTlsOnSlot(topo, topo.slot(3u), key, iv, plain);
+
+    EXPECT_GT(llc.materialisedSets(), 0u);
+    EXPECT_LT(llc.materialisedSets(), llc.config().sets() / 32);
+    for (unsigned s = 0; s < topo.slotCount(); ++s) {
+        const std::size_t used =
+            topo.slot(s).device.configMemory().materialisedSlots();
+        if (s == 3u) {
+            EXPECT_GE(used, 1u);
+            EXPECT_LE(used, 4u);
+        } else {
+            EXPECT_EQ(used, 0u) << "slot " << s;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Shard placement
 // ---------------------------------------------------------------------------
