@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <memory>
 
@@ -30,6 +31,12 @@ constexpr unsigned kMaxRecycleAttempts = 8;
  */
 constexpr unsigned kMaxSubmitRetries = 8;
 
+/**
+ * Line copies an unordered CompCpy keeps in flight: the core's
+ * line-fill buffers bound how many loads one memcpy has outstanding.
+ */
+constexpr unsigned kCopyWindow = 8;
+
 /** Continuation state of one in-flight CompCpy. */
 struct CompCpyEngine::Flow
 {
@@ -38,15 +45,16 @@ struct CompCpyEngine::Flow
     std::size_t src_pages = 0;
     std::size_t dst_pages = 0;
     std::size_t cursor = 0;      ///< line/page progress in each stage
-    std::size_t outstanding = 0; ///< fan-out joins
-    std::vector<std::uint8_t> line; ///< 64 B staging for the copy loop
+    std::size_t outstanding = 0; ///< line copies in flight
+    /** A line copy's 64 B between its load and its store landing. */
+    std::array<std::array<std::uint8_t, kCacheLineSize>, kCopyWindow>
+        staging{};
+    std::uint32_t free_staging = (1u << kCopyWindow) - 1; ///< bit per slot
     std::uint32_t span = 0;      ///< trace span id (0 = untraced)
     Tick begin = 0;              ///< start() tick for call latency
     std::uint64_t degraded_base = 0; ///< degradedReads() at start
     unsigned recycle_attempts = 0;   ///< Force-Recycle rounds so far
     bool bailed = false;             ///< recycle loop hit its bound
-
-    Flow() : line(kCacheLineSize) {}
 };
 
 CompCpyEngine::CompCpyEngine(cache::MemorySystem &memory, Driver &driver,
@@ -312,11 +320,10 @@ CompCpyEngine::registerPages(std::shared_ptr<Flow> flow)
         reg.pack(burst.data());
     }
 
-    auto data = std::make_shared<std::array<std::uint8_t, kCacheLineSize>>(
-        burst);
+    // The controller captures a write's data at enqueue.
     const Addr reg_addr = driver_.mmio(smartdimm::MmioReg::kRegister);
-    memory_.mmioWrite(reg_addr, data->data(),
-                      [this, flow, data, reg_addr](Tick at) {
+    memory_.mmioWrite(reg_addr, burst.data(),
+                      [this, flow, reg_addr](Tick at) {
         SD_TRACE_EVENT(flow->span, trace::Stage::kRegister, at, reg_addr);
         registerPages(flow);
     });
@@ -325,60 +332,69 @@ CompCpyEngine::registerPages(std::shared_ptr<Flow> flow)
 void
 CompCpyEngine::copyLines(std::shared_ptr<Flow> flow)
 {
-    // Alg. 2 lines 24-30: the memcpy. Ordered mode fences between
-    // 64-byte copies (one line strictly after another); unordered mode
-    // still serialises read->write per line but lets the memory system
-    // pipeline across lines via a small window.
+    // Alg. 2 lines 24-30: the memcpy, re-entered as each line copy
+    // lands. Ordered mode fences between 64-byte copies (one line
+    // strictly after another); unordered mode keeps kCopyWindow line
+    // copies in flight, starting the next as each store lands.
     const CompCpyParams &p = flow->params;
     const std::size_t lines = divCeil(p.size, kCacheLineSize);
 
     if (flow->cursor >= lines) {
-        flow->cursor = 0;
-        zeroTrailer(flow);
+        if (flow->outstanding == 0) {
+            flow->cursor = 0;
+            zeroTrailer(flow);
+        }
         return;
     }
+    if (!p.ordered) {
+        while (flow->outstanding < kCopyWindow && flow->cursor < lines)
+            copyLine(flow, flow->cursor++);
+        return;
+    }
+    if (flow->outstanding != 0)
+        return; // the fence: wait for the copy in flight to land
 
-    // kOrderedFence: an injected violation issues one window of two
+    // kOrderedFence: an injected violation issues a window of two
     // lines in *reverse*, so the second line's rdCAS reaches the
     // streaming DSA first — exactly the bug the fences prevent. The
     // DSA poisons the job; the page never completes; the controller
     // eventually degrades its reads and the call is flagged.
-    bool fence_violation = false;
-    std::size_t window;
-    if (p.ordered) {
-        fence_violation = lines - flow->cursor >= 2 &&
-                          injectFault(fault::Site::kOrderedFence);
-        window = fence_violation ? 2 : 1;
-        if (fence_violation) {
-            ++stats_.fence_violations;
-            SD_TRACE_EVENT(flow->span, trace::Stage::kFault,
-                           memory_.events().now(),
-                           p.sbuf + flow->cursor * kCacheLineSize);
-        }
-    } else {
-        window = std::min<std::size_t>(8, lines - flow->cursor);
+    const bool fence_violation = lines - flow->cursor >= 2 &&
+                                 injectFault(fault::Site::kOrderedFence);
+    if (fence_violation) {
+        ++stats_.fence_violations;
+        SD_TRACE_EVENT(flow->span, trace::Stage::kFault,
+                       memory_.events().now(),
+                       p.sbuf + flow->cursor * kCacheLineSize);
     }
-
-    auto joined = std::make_shared<std::size_t>(window);
-    for (std::size_t w = 0; w < window; ++w) {
-        const std::size_t issue = fence_violation ? window - 1 - w : w;
-        const std::size_t line_index = flow->cursor + issue;
-        const Addr src = p.sbuf + line_index * kCacheLineSize;
-        const Addr dst = p.dbuf + line_index * kCacheLineSize;
-        auto staging = std::make_shared<
-            std::array<std::uint8_t, kCacheLineSize>>();
-        memory_.readLine(src, staging->data(),
-                         [this, flow, joined, dst, staging](Tick) {
-            ++stats_.lines_copied;
-            memory_.writeLine(dst, staging->data(),
-                              [this, flow, joined, dst, staging](Tick at) {
-                SD_TRACE_EVENT(flow->span, trace::Stage::kCopy, at, dst);
-                if (--*joined == 0)
-                    copyLines(flow);
-            });
-        });
-    }
+    const std::size_t window = fence_violation ? 2 : 1;
+    for (std::size_t w = window; w-- > 0;)
+        copyLine(flow, flow->cursor + w);
     flow->cursor += window;
+}
+
+void
+CompCpyEngine::copyLine(const std::shared_ptr<Flow> &flow,
+                        std::size_t line_index)
+{
+    const Addr src = flow->params.sbuf + line_index * kCacheLineSize;
+    const Addr dst = flow->params.dbuf + line_index * kCacheLineSize;
+    const auto slot =
+        static_cast<unsigned>(std::countr_zero(flow->free_staging));
+    flow->free_staging &= ~(1u << slot);
+    ++flow->outstanding;
+    memory_.readLine(src, flow->staging[slot].data(),
+                     [this, flow, dst, slot](Tick) mutable {
+        ++stats_.lines_copied;
+        std::uint8_t *data = flow->staging[slot].data();
+        memory_.writeLine(dst, data,
+                          [this, flow = std::move(flow), dst, slot](Tick at) {
+            SD_TRACE_EVENT(flow->span, trace::Stage::kCopy, at, dst);
+            flow->free_staging |= 1u << slot;
+            --flow->outstanding;
+            copyLines(flow);
+        });
+    });
 }
 
 void

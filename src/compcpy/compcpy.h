@@ -224,6 +224,8 @@ class CompCpyEngine
     void flushSource(std::shared_ptr<Flow> flow);
     void registerPages(std::shared_ptr<Flow> flow);
     void copyLines(std::shared_ptr<Flow> flow);
+    /** Copy line @p line_index of the source into the destination. */
+    void copyLine(const std::shared_ptr<Flow> &flow, std::size_t line_index);
     void zeroTrailer(std::shared_ptr<Flow> flow);
     void finishFlow(const std::shared_ptr<Flow> &flow);
     void completeFlow(const std::shared_ptr<Flow> &flow,

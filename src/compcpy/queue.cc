@@ -30,6 +30,8 @@ completionStatusName(CompletionStatus status)
         return "rejected";
       case CompletionStatus::kBailout:
         return "bailout";
+      case CompletionStatus::kUnknownId:
+        return "unknown-id";
     }
     return "?";
 }
@@ -330,6 +332,7 @@ WorkQueue::writeRecord(const std::shared_ptr<Pending> &p, bool recovered)
         ++stats_.bailouts;
         break;
       case CompletionStatus::kSuccess:
+      case CompletionStatus::kUnknownId:
         break;
     }
     latency_.sample(now - p->submitted);
@@ -442,8 +445,17 @@ WorkQueue::wait(std::uint64_t id)
                 break;
             }
         }
-        SD_ASSERT(target != nullptr,
-                  "wait() on an unknown or callback-consumed descriptor");
+        if (!target) {
+            // An id this queue does not hold (never submitted, already
+            // reaped, or consumed by a callback) can never complete:
+            // answer at once, without claiming the op failed.
+            CompletionRecord rec;
+            rec.id = id;
+            rec.queue = config_.id;
+            rec.status = CompletionStatus::kUnknownId;
+            rec.completed = engine_.memory().events().now();
+            return rec;
+        }
         const std::uint64_t before = stats_.completions;
         engine_.memory().events().run();
         if (stats_.completions != before)

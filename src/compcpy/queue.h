@@ -85,6 +85,12 @@ enum class CompletionStatus : std::uint8_t
     kDegraded, ///< ALERT_N-exhausted reads degraded at least one op
     kRejected, ///< the device rejected at least one page registration
     kBailout,  ///< a bounded recovery loop gave up (recycle or reap)
+    /**
+     * wait() on an id the queue does not hold (never submitted,
+     * already reaped, or consumed by a callback). Says nothing about
+     * how the op itself went; counted in no stat.
+     */
+    kUnknownId,
 };
 
 /** Stable short name (test output and stats dumps). */
@@ -225,7 +231,9 @@ class WorkQueue
      * Drive the event queue until descriptor @p id's record is reaped
      * and return it. Runs lost-completion recovery when the
      * simulation idles with the record still missing; after bounded
-     * recovery rounds the record is synthesised with kBailout.
+     * recovery rounds the record is synthesised with kBailout. An id
+     * the queue does not hold (never submitted, already reaped, or
+     * consumed by a callback) gets a kUnknownId record at once.
      */
     CompletionRecord wait(std::uint64_t id);
 

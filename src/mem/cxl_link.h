@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "common/types.h"
 #include "fault/fault.h"
@@ -58,9 +59,20 @@ class CxlLink
     /**
      * Ship @p bytes across the link and run @p fn when the response
      * lands (round trip + serialization + any queueing/stall delay).
-     * @p fn receives the delivery tick.
+     * @p fn receives the delivery tick. The arrival event captures
+     * @p fn itself, not a type-erased wrapper, so a small callable
+     * stays inside the event's inline buffer and the far-channel
+     * completion path allocates nothing.
      */
-    void transfer(std::size_t bytes, UniqueFunctionT<void(Tick)> fn);
+    template <typename F>
+    void
+    transfer(std::size_t bytes, F fn)
+    {
+        const Tick done = reserve(bytes);
+        events_.schedule(done, [fn = std::move(fn), done]() mutable {
+            fn(done);
+        });
+    }
 
     /** Round-trip flight time in ticks (no payload, no queueing). */
     Tick roundTripTicks() const { return round_trip_ticks_; }
@@ -76,6 +88,9 @@ class CxlLink
     void reportStats(trace::StatsBlock &block) const;
 
   private:
+    /** Queue @p bytes on the wire; @return the delivery tick. */
+    Tick reserve(std::size_t bytes);
+
     EventQueue &events_;
     CxlLinkConfig config_;
     Tick round_trip_ticks_ = 0;

@@ -119,12 +119,14 @@ MemoryController::push(BankQueues &queues, std::uint32_t index)
 }
 
 MemoryController::Pick
-MemoryController::pick(const BankQueues &queues, bool is_write) const
+MemoryController::pick(const BankQueues &queues, bool is_write,
+                       std::uint64_t below) const
 {
     // One candidate per bank with its row open: the bank's oldest
     // request to that row. All requests in a bank share one CAS tick,
     // and a FIFO is in age order, so a bank whose tick and head cannot
-    // beat the best so far is skipped without walking its FIFO.
+    // beat the best so far is skipped without walking its FIFO, and a
+    // walk stops at the first request too young to serve.
     const Tick now = events_.now();
     Pick best;
     std::uint64_t best_seq = 0;
@@ -141,6 +143,8 @@ MemoryController::pick(const BankQueues &queues, bool is_write) const
                 w * 64 + static_cast<unsigned>(std::countr_zero(bits));
             const std::uint32_t head = queues.head[bank];
             const std::uint64_t head_seq = slab_[head].seq;
+            if (head_seq >= below)
+                continue;
             if (head_seq < oldest_seq) {
                 oldest = head;
                 oldest_seq = head_seq;
@@ -153,12 +157,14 @@ MemoryController::pick(const BankQueues &queues, bool is_write) const
             const std::uint64_t row = banks_.row(bank);
             std::uint32_t prev = kNil;
             std::uint32_t i = head;
-            while (i != kNil && slab_[i].coord.row != row) {
+            while (i != kNil && slab_[i].seq < below &&
+                   slab_[i].coord.row != row) {
                 prev = i;
                 i = slab_[i].next;
             }
-            if (i == kNil || !beats(at, slab_[i].seq))
-                continue; // no queued request to the open row, or older best
+            if (i == kNil || slab_[i].seq >= below ||
+                !beats(at, slab_[i].seq))
+                continue; // no servable request to the open row, or older best
             best = Pick{i, prev, true, at};
             best_seq = slab_[i].seq;
         }
@@ -262,7 +268,7 @@ MemoryController::earliestCas(const Request &req, bool is_write) const
     });
 }
 
-bool
+Tick
 MemoryController::issueRequest(BankQueues &queues, const Pick &choice,
                                bool is_write)
 {
@@ -288,16 +294,14 @@ MemoryController::issueRequest(BankQueues &queues, const Pick &choice,
         req.needed_act = true;
         banks_.activate(bank, req.coord.row, /*act_at=*/when,
                         /*ready_at=*/when + timing_.tRCD * period);
-        // Re-run the scheduler when the bank becomes ready.
-        requestPass(banks_.readyAt(bank));
-        return false; // CAS not issued this pass
+        // CAS not issued this pass: retry when the bank is ready.
+        return banks_.readyAt(bank);
     }
 
     const Tick cas_at = clock_.nextEdge(choice.cas_at);
     if (cas_at > now) {
         // Not issuable yet; try again when the spacing rules allow.
-        requestPass(cas_at);
-        return false;
+        return cas_at;
     }
     if (cas_issued_ && last_was_write_ != is_write)
         ++stats_.turnarounds;
@@ -346,7 +350,7 @@ MemoryController::issueRequest(BankQueues &queues, const Pick &choice,
                      [this, index = choice.index, cas_at, is_write] {
         finishBurst(index, cas_at, is_write);
     });
-    return true;
+    return 0;
 }
 
 void
@@ -435,7 +439,7 @@ MemoryController::retryAlert(std::uint32_t index, bool spurious)
     });
 }
 
-void
+MemoryController::WriteService
 MemoryController::updateWriteDrain()
 {
     if (writes_.size >= config_.write_high_watermark) {
@@ -452,26 +456,67 @@ MemoryController::updateWriteDrain()
     }
     if (writes_.size <= config_.write_low_watermark)
         write_drain_ = false;
+
+    if (writes_.size == 0)
+        return {};
+    if (write_drain_ || reads_.size == 0)
+        return {kNoBound, 0};
+    // Age bound: once the oldest write has waited kWriteMaxWait, serve
+    // every write queued at this moment, then go back to reads. Writes
+    // that arrive meanwhile wait for their own deadline or the
+    // watermark.
+    const Request &oldest = oldestWrite();
+    const Tick deadline = clock_.nextEdge(
+        oldest.enqueued + kWriteMaxWait * clock_.period());
+    if (oldest.seq >= age_drain_below_ && events_.now() >= deadline)
+        age_drain_below_ = next_seq_;
+    if (oldest.seq < age_drain_below_)
+        return {age_drain_below_, 0};
+    return {0, deadline};
+}
+
+const MemoryController::Request &
+MemoryController::oldestWrite() const
+{
+    const Request *oldest = nullptr;
+    for (std::size_t w = 0; w < writes_.nonempty.size(); ++w) {
+        for (std::uint64_t bits = writes_.nonempty[w]; bits != 0;
+             bits &= bits - 1) {
+            const std::size_t bank =
+                w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+            const Request &head = slab_[writes_.head[bank]];
+            if (!oldest || head.seq < oldest->seq)
+                oldest = &head;
+        }
+    }
+    return *oldest;
 }
 
 void
 MemoryController::schedulePass()
 {
     ++stats_.sched_passes;
-    // Drain-mode hysteresis (write batching).
-    updateWriteDrain();
-
+    // Keep issuing while commands fit at the current tick.
     for (;;) {
-        const bool service_writes =
-            write_drain_ || (reads_.size == 0 && writes_.size != 0);
+        const WriteService service = updateWriteDrain();
+        const bool service_writes = service.bound != 0;
         BankQueues &queues = service_writes ? writes_ : reads_;
         if (queues.size == 0)
             break;
-        if (!issueRequest(queues, pick(queues, service_writes),
-                          service_writes))
-            break; // waiting on a bank/bus event already requested
-        // Keep issuing while commands fit at the current tick.
-        updateWriteDrain();
+        Tick retry = issueRequest(
+            queues,
+            pick(queues, service_writes,
+                 service_writes ? service.bound : kNoBound),
+            service_writes);
+        if (retry != 0) {
+            // Waiting on a bank or bus event. While reads hold the bus,
+            // wake no later than the oldest write's deadline: it only
+            // moves later, so a coalesced wakeup never misses it.
+            if (service.deadline != 0)
+                retry = std::min(retry, service.deadline);
+            requestPass(retry);
+            break;
+        }
     }
     // One tracer-lock acquisition for the whole pass's DDR mirror.
     ddr_batch_.flush();

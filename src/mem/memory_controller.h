@@ -2,8 +2,9 @@
  * @file
  * Per-channel DDR4 memory controller: ready-first FR-FCFS scheduling
  * over split read/write queues, each indexed per bank, with
- * watermark-based write draining and pipelined CAS issue (see
- * earliestCas). The write batching plus bus-turnaround
+ * watermark-based write draining bounded by a maximum write wait, and
+ * pipelined CAS issue (see earliestCas). The write batching plus
+ * bus-turnaround
  * costs produce the gap between a CompCpy's sbuf rdCAS and the
  * matching dbuf wrCAS that SmartDIMM's inline offload depends on
  * (Sec. IV-D; bench/micro_slack measures it).
@@ -81,6 +82,15 @@ struct ControllerStats
 class MemoryController
 {
   public:
+    /**
+     * Longest a queued write waits while reads keep the controller
+     * busy (command clocks; 1600 = 1 µs, the order of write hold a
+     * real controller shows, and ~16x the DSA's per-line latency).
+     * Past it the controller drains every write queued at that
+     * moment (DESIGN.md §12). A model constant, not a tuning knob.
+     */
+    static constexpr Cycles kWriteMaxWait = 1600;
+
     MemoryController(EventQueue &events, const AddressMap &map,
                      const DramTiming &timing,
                      const ControllerConfig &config, unsigned channel,
@@ -138,6 +148,8 @@ class MemoryController
   private:
     /** Null slab index: end of a bank FIFO, or no pick. */
     static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    /** Sequence bound that admits every queued request. */
+    static constexpr std::uint64_t kNoBound = ~std::uint64_t{0};
 
     /**
      * A request owns its slab slot from enqueue until its burst
@@ -202,20 +214,48 @@ class MemoryController
     void requestPass(Tick when);
     /** Requeue the read in slot @p index, or fail it as degraded. */
     void retryAlert(std::uint32_t index, bool spurious);
-    void updateWriteDrain(); ///< watermark hysteresis + injected delay
+    /** What the next issue serves; see updateWriteDrain. */
+    struct WriteService
+    {
+        /** Writes with seq below it are served; 0 serves reads. */
+        std::uint64_t bound = 0;
+        /** While reads are served and writes wait: when the oldest
+         *  write outwaits kWriteMaxWait; otherwise 0. */
+        Tick deadline = 0;
+    };
+    /**
+     * Decide which direction the next issue serves: watermark
+     * hysteresis (with the injected delay), the "reads empty ->
+     * writes" rule and the write age bound.
+     */
+    WriteService updateWriteDrain();
+    /**
+     * The oldest queued write: the minimum-seq head over the per-bank
+     * write FIFOs (writes never requeue, so a bank's head is its
+     * oldest). Precondition: a write is queued.
+     */
+    const Request &oldestWrite() const;
     void schedulePass();   ///< pick and issue the next command
     /** Take a free slab slot for a new request; @return its index. */
     std::uint32_t allocRequest(Addr line_addr, MemCallback cb);
     /** Append slot @p index to the tail of its bank's FIFO, as youngest. */
     void push(BankQueues &queues, std::uint32_t index);
     /**
-     * Ready-first FR-FCFS: among banks whose open row some queued
-     * request targets, the bank's oldest such request, earliest CAS
-     * tick first and then oldest; with no row hit queued, the oldest
-     * request. Precondition: @p queues is not empty.
+     * Ready-first FR-FCFS over the requests with seq below @p below:
+     * among banks whose open row some such request targets, the
+     * bank's oldest such request, earliest CAS tick first and then
+     * oldest; with no row hit among them, the oldest. Precondition:
+     * the oldest request in @p queues has seq below @p below.
      */
-    Pick pick(const BankQueues &queues, bool is_write) const;
-    bool issueRequest(BankQueues &queues, const Pick &choice, bool is_write);
+    Pick pick(const BankQueues &queues, bool is_write,
+              std::uint64_t below) const;
+    /**
+     * Issue @p choice's CAS, or the PRE/ACT its row needs first.
+     * @return 0 once the CAS issued; otherwise the tick at which a
+     * pass can make progress on it.
+     */
+    Tick issueRequest(BankQueues &queues, const Pick &choice,
+                      bool is_write);
     /** Data-burst end: hand the line to or from the device. */
     void finishBurst(std::uint32_t index, Tick cas_at, bool is_write);
     /** Free slot @p index, then run its completion callback. */
@@ -254,6 +294,12 @@ class MemoryController
     Tick next_write_cas_at_ = 0; ///< last read CAS + tRTW
     Tick next_read_cas_at_ = 0;  ///< last write data end + tWTR
     bool write_drain_ = false;
+    /**
+     * Age drain: writes with seq below this were queued when the
+     * oldest write outwaited kWriteMaxWait, and are served ahead of
+     * reads until all have issued. 0: none yet.
+     */
+    std::uint64_t age_drain_below_ = 0;
     bool coalesce_wakeups_ = true;
     bool pass_scheduled_ = false; ///< a pass event is pending at pass_at_
     Tick pass_at_ = 0;

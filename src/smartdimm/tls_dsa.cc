@@ -90,6 +90,10 @@ TlsDsaJob::complete() const
 void
 TlsDsaJob::placeTag() const
 {
+    // The tag is final once the message completes: compute it once,
+    // not on every readyMask() that follows.
+    if (ready_ & tagMask())
+        return;
     const crypto::GcmTag tag = state_->finalTag();
     const std::size_t tag_skip =
         page_index_ * kPageSize + tag_begin_ - state_->messageLen();

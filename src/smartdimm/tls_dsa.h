@@ -89,7 +89,10 @@ class TlsDsaJob : public DsaJob
     std::size_t payloadLines() const { return payload_lines_; }
 
   private:
-    /** Patch this page's share of the tag into its result bytes. */
+    /**
+     * Patch this page's share of the tag into its result bytes and
+     * mark its lines ready; a no-op once they are.
+     */
     void placeTag() const;
 
     /** Bitmask of the lines carrying this page's tag bytes. */

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <iterator>
 #include <memory>
@@ -383,6 +384,122 @@ TEST(EndToEnd, SelfRecycleFreesScratchpad)
     EXPECT_GT(sys.dimm.scratchpad().stats().self_recycles, 0u);
     EXPECT_EQ(sys.dimm.scratchpad().stats().force_recycles, 0u);
     EXPECT_EQ(sys.engine.stats().force_recycles, 0u);
+}
+
+/**
+ * Another agent's uncached reads on the CompCpy's channel: keeps
+ * @p depth reads in flight until @p total have completed.
+ */
+class ReadStream
+{
+  public:
+    ReadStream(mem::MemoryController &mc, Addr base, std::size_t total)
+        : mc_(mc), base_(base), total_(total)
+    {
+    }
+
+    void
+    start(unsigned depth)
+    {
+        for (unsigned i = 0; i < depth; ++i)
+            next();
+    }
+
+    std::size_t done() const { return done_; }
+    std::size_t total() const { return total_; }
+
+  private:
+    void
+    next()
+    {
+        if (issued_ == total_)
+            return;
+        constexpr std::size_t kLines = 1024; // a 64 KB region
+        const Addr addr = base_ + (issued_++ % kLines) * kCacheLineSize;
+        mc_.enqueueRead(addr, sink_.data(), [this](Tick, mem::MemStatus) {
+            ++done_;
+            next();
+        });
+    }
+
+    mem::MemoryController &mc_;
+    Addr base_;
+    std::size_t total_;
+    std::size_t issued_ = 0;
+    std::size_t done_ = 0;
+    std::array<std::uint8_t, kCacheLineSize> sink_{};
+};
+
+TEST(EndToEnd, OffloadsUnderACompetingReadStreamAreByteExact)
+{
+    // The doorbell, registration and USE writes of a TLS and a
+    // Deflate CompCpy must not starve behind another agent's reads:
+    // both ops, USE included, finish while the stream still runs, and
+    // their bytes are exact with no ALERT_N.
+    System sys;
+    Rng rng(8);
+
+    const std::size_t tls_len = 4096;
+    std::vector<std::uint8_t> plain(tls_len);
+    rng.fill(plain.data(), tls_len);
+    compcpy::CompCpyParams tls;
+    tls.size = tls_len;
+    tls.ulp = smartdimm::UlpKind::kTlsEncrypt;
+    tls.message_id = 7;
+    rng.fill(tls.key, sizeof(tls.key));
+    rng.fill(tls.iv.data(), tls.iv.size());
+    tls.sbuf = sys.driver.alloc(tls_len);
+    tls.dbuf = sys.driver.alloc(2 * kPageSize);
+    sys.memory->writeSync(tls.sbuf, plain.data(), tls_len);
+
+    const std::vector<std::uint8_t> text = textLike(rng, 3000);
+    compcpy::CompCpyParams deflate;
+    deflate.size = text.size();
+    deflate.ulp = smartdimm::UlpKind::kDeflate;
+    deflate.ordered = true;
+    deflate.sbuf = sys.driver.alloc(kPageSize);
+    deflate.dbuf = sys.driver.alloc(kPageSize);
+    std::vector<std::uint8_t> staged(kPageSize, 0);
+    std::memcpy(staged.data(), text.data(), text.size());
+    sys.memory->writeSync(deflate.sbuf, staged.data(), staged.size());
+
+    ReadStream stream(sys.memory->controller(0), /*base=*/1ULL << 30,
+                      /*total=*/6000);
+    stream.start(/*depth=*/8);
+    std::vector<std::size_t> stream_done_at;
+    for (const auto *params : {&tls, &deflate}) {
+        const std::size_t bytes =
+            compcpy::CompCpyEngine::destPages(*params) * kPageSize;
+        sys.engine.start(*params, [&, params, bytes] {
+            sys.engine.use(params->dbuf, bytes, [&] {
+                stream_done_at.push_back(stream.done());
+            });
+        });
+    }
+    sys.events.run();
+
+    ASSERT_EQ(stream_done_at.size(), 2u);
+    for (const std::size_t done : stream_done_at)
+        EXPECT_LT(done, stream.total() / 2) << "an op waited out the stream";
+    EXPECT_EQ(stream.done(), stream.total());
+
+    crypto::GcmContext ctx(tls.key, crypto::Aes::KeySize::k128);
+    std::vector<std::uint8_t> expect(tls_len + 16);
+    const crypto::GcmTag tag =
+        ctx.encrypt(tls.iv, plain.data(), tls_len, expect.data());
+    std::memcpy(expect.data() + tls_len, tag.data(), tag.size());
+    EXPECT_EQ(sys.engine.readResult(tls.dbuf, tls_len + 16), expect);
+
+    const auto framed = sys.engine.readResult(deflate.dbuf, kPageSize);
+    const std::size_t stream_len = framed[0] | (framed[1] << 8);
+    ASSERT_LE(stream_len + 2, framed.size());
+    const auto back = compress::deflateTryDecompress(
+        framed.data() + 2, stream_len, text.size());
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(*back, text);
+
+    EXPECT_EQ(sys.dimm.stats().alert_n, 0u);
+    EXPECT_EQ(sys.engine.stats().degraded_calls, 0u);
 }
 
 } // namespace

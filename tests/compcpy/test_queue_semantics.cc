@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/memory_system.h"
@@ -170,6 +171,43 @@ TEST(QueueSemantics, SingleDescriptorLifecycle)
     EXPECT_EQ(queue.stats().doorbells, 1u);
     EXPECT_EQ(queue.completionLatency().count(), 1u);
     verifyTlsOutput(sys, op);
+}
+
+TEST(QueueSemantics, WaitOnAnIdTheQueueDoesNotHoldAnswersAtOnce)
+{
+    System sys;
+    WorkQueue queue(sys.engine, WorkQueueConfig{});
+    Rng rng(22);
+    TlsOp op = makeTlsOp(sys, rng, 1024, 1);
+    const auto id = queue.submit(Descriptor::single(op.params));
+    ASSERT_TRUE(id.has_value());
+    ASSERT_EQ(queue.wait(*id).status, CompletionStatus::kSuccess);
+
+    // A successful op whose record a callback consumed.
+    TlsOp cb_op = makeTlsOp(sys, rng, 1024, 2);
+    std::optional<CompletionStatus> consumed;
+    const auto cb_id = queue.submit(
+        Descriptor::single(cb_op.params), 0,
+        [&](const CompletionRecord &rec) { consumed = rec.status; });
+    ASSERT_TRUE(cb_id.has_value());
+    sys.events.run();
+    ASSERT_TRUE(consumed.has_value());
+    ASSERT_EQ(*consumed, CompletionStatus::kSuccess);
+
+    // Already reaped, consumed by a callback, and never submitted:
+    // none can complete, so none blocks, and none reads as a failed
+    // offload.
+    const Tick now = sys.events.now();
+    for (const std::uint64_t unheld : {*id, *cb_id, *cb_id + 7}) {
+        const CompletionRecord rec = queue.wait(unheld);
+        EXPECT_EQ(rec.id, unheld);
+        EXPECT_EQ(rec.status, CompletionStatus::kUnknownId);
+        EXPECT_EQ(rec.completed, now);
+    }
+    EXPECT_EQ(sys.events.now(), now);
+    EXPECT_EQ(queue.stats().reaped, 1u);
+    EXPECT_EQ(queue.stats().bailouts, 0u);
+    verifyTlsOutput(sys, cb_op);
 }
 
 TEST(QueueSemantics, FifoDispatchOrderPerQueue)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Memory controller: data round trips, ready-first FR-FCFS row hits,
- * write batching (the rd->wr slack SmartDIMM depends on), ALERT_N
- * retry, and command-trace observation.
+ * write batching (the rd->wr slack SmartDIMM depends on) and its age
+ * bound, ALERT_N retry, and command-trace observation.
  */
 
 #include <gtest/gtest.h>
@@ -111,14 +111,15 @@ struct BankId
     unsigned bank = 0;
 };
 
-/** Line address of (bank group, bank, column) in row 0. */
+/** Line address of (bank group, bank, column) in @p row. */
 Addr
 lineAt(const AddressMap &map, unsigned bank_group, unsigned bank,
-       unsigned col)
+       unsigned col, unsigned row = 0)
 {
     DramCoord coord;
     coord.bank_group = bank_group;
     coord.bank = bank;
+    coord.row = row;
     coord.col = col;
     return map.compose(coord);
 }
@@ -268,25 +269,128 @@ TEST(MemoryController, AlertNRetriesUntilReady)
     EXPECT_EQ(rig.mc.stats().alert_retries, 3u);
 }
 
+/**
+ * Enqueue @p count reads to bank group 0, bank 0, column by column
+ * through its rows: a stream that keeps the read queue non-empty for
+ * about 5 ns per read (tCCD_L) plus a PRE/ACT per row.
+ */
+void
+enqueueReadStream(Rig &rig, unsigned count, std::uint8_t *sink)
+{
+    const auto cols = static_cast<unsigned>(rig.geometry.linesPerRow());
+    for (unsigned i = 0; i < count; ++i)
+        rig.mc.enqueueRead(lineAt(rig.map, 0, 0, i % cols, i / cols), sink,
+                           nullptr);
+}
+
 TEST(MemoryController, WritesBatchBeforeDraining)
 {
     Rig rig;
     // Fill the write queue below the high watermark while reads are
-    // pending: writes should wait (no interleaved drain), creating the
-    // rd->wr slack.
+    // pending: writes younger than kWriteMaxWait wait for the reads
+    // (no interleaved drain), creating the rd->wr slack.
     std::uint8_t line[64] = {1};
     int writes_done = 0;
     for (int i = 0; i < 24; ++i)
         rig.mc.enqueueWrite(0x9000 + i * 64ull, line,
                             [&](Tick, mem::MemStatus) { ++writes_done; });
     std::uint8_t buf[64];
-    bool read_done = false;
-    rig.mc.enqueueRead(0x100000, buf,
-                       [&](Tick, mem::MemStatus) { read_done = true; });
+    int reads_done = 0;
+    constexpr int kReads = 64; // about 0.35 µs of reads
+    for (int i = 0; i < kReads; ++i)
+        rig.mc.enqueueRead(0x100000 + i * 64ull, buf,
+                           [&](Tick, mem::MemStatus) { ++reads_done; });
     rig.events.run();
-    EXPECT_TRUE(read_done);
+    EXPECT_EQ(reads_done, kReads);
     EXPECT_EQ(writes_done, 24);
-    EXPECT_GT(rig.mc.stats().turnarounds, 0u);
+    EXPECT_EQ(rig.mc.stats().turnarounds, 1u);
+
+    // Every rdCAS precedes every wrCAS, and no write had aged out.
+    const auto cas = casCommands(rig.tracer.trace);
+    ASSERT_EQ(cas.size(), static_cast<std::size_t>(kReads + 24));
+    for (std::size_t i = 0; i < cas.size(); ++i)
+        EXPECT_EQ(cas[i].type == DdrCommandType::kWriteCas, i >= kReads)
+            << "CAS " << i;
+    EXPECT_LT(cas[kReads].issue, MemoryController::kWriteMaxWait * kPeriod);
+}
+
+TEST(MemoryController, WriteWaitsAtMostTheLimitUnderAReadStream)
+{
+    Rig rig;
+    const DramTiming t;
+    std::uint8_t buf[64];
+    const Addr write_addr = lineAt(rig.map, 1, 0, 0);
+    rig.readSync(write_addr, buf); // open the write's row
+    rig.tracer.trace.clear();
+
+    // About 3.5 µs of reads: the read queue never empties.
+    enqueueReadStream(rig, 600, buf);
+    const Tick enqueued = rig.events.now();
+    std::uint8_t line[64] = {7};
+    rig.mc.enqueueWrite(write_addr, line);
+    rig.events.run();
+
+    const auto cas = casCommands(rig.tracer.trace);
+    const auto write =
+        std::find_if(cas.begin(), cas.end(), [](const DdrCommand &c) {
+            return c.type == DdrCommandType::kWriteCas;
+        });
+    ASSERT_NE(write, cas.end());
+    EXPECT_GT(cas.end() - write, 100) << "the write waited for the stream";
+    const Tick waited = write->issue - enqueued;
+    EXPECT_GE(waited, MemoryController::kWriteMaxWait * kPeriod);
+    // The deadline rounds up to a clock edge; the last rdCAS then
+    // holds the write off for at most tRTW.
+    EXPECT_LE(waited,
+              (MemoryController::kWriteMaxWait + 1 + t.tRTW) * kPeriod);
+}
+
+TEST(MemoryController, WriteArrivingDuringAnAgeDrainWaits)
+{
+    Rig rig;
+    std::uint8_t buf[64];
+    const Addr late_addr = lineAt(rig.map, 2, 0, 0);
+    rig.readSync(lineAt(rig.map, 1, 0, 0), buf); // open both write rows
+    rig.readSync(late_addr, buf);
+    rig.tracer.trace.clear();
+
+    // About 7 µs of reads, plus a batch of writes to one bank, below
+    // the high watermark: once it ages out, its drain takes at least
+    // kBatch x tCCD_L.
+    enqueueReadStream(rig, 1200, buf);
+    const Tick start = rig.events.now();
+    std::uint8_t line[64] = {9};
+    constexpr unsigned kBatch = 40;
+    for (unsigned col = 1; col <= kBatch; ++col)
+        rig.mc.enqueueWrite(lineAt(rig.map, 1, 0, col), line);
+    // A row hit in another bank group arrives mid-drain. Ready-first
+    // alone would slot it between the batch's tCCD_L-spaced writes.
+    const Tick late_at =
+        start + (MemoryController::kWriteMaxWait + 80) * kPeriod;
+    rig.events.schedule(late_at,
+                        [&] { rig.mc.enqueueWrite(late_addr, line); });
+    rig.events.run();
+
+    std::vector<Tick> batch;
+    Tick late = 0;
+    for (const auto &cmd : casCommands(rig.tracer.trace)) {
+        if (cmd.type != DdrCommandType::kWriteCas)
+            continue;
+        if (cmd.addr == late_addr)
+            late = cmd.issue;
+        else
+            batch.push_back(cmd.issue);
+    }
+    ASSERT_EQ(batch.size(), kBatch);
+    ASSERT_LT(batch.front(), late_at) << "the drain had begun";
+    ASSERT_GT(batch.back(), late_at) << "the drain was still running";
+    // The late write waits out its own limit, behind reads again.
+    EXPECT_GE(late - late_at, MemoryController::kWriteMaxWait * kPeriod);
+    int reads_between = 0;
+    for (const auto &cmd : casCommands(rig.tracer.trace))
+        reads_between += cmd.type == DdrCommandType::kReadCas &&
+                         cmd.issue > batch.back() && cmd.issue < late;
+    EXPECT_GT(reads_between, 0);
 }
 
 TEST(MemoryController, BandwidthAccounting)

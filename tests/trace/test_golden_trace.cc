@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -113,6 +114,34 @@ runGoldenWorkload(CasCounter *observer,
     tr.disable();
     tr.clear();
     return csv.str();
+}
+
+/** One `tick,span,stage,address` row of a trace CSV. */
+struct Row
+{
+    Tick tick = 0;
+    std::string span;
+    std::string stage;
+    Addr addr = 0;
+};
+
+std::vector<Row>
+parseRows(const std::string &csv)
+{
+    std::vector<Row> out;
+    std::istringstream rows(csv);
+    std::string row;
+    std::getline(rows, row); // header
+    while (std::getline(rows, row)) {
+        const auto c1 = row.find(',');
+        const auto c2 = row.find(',', c1 + 1);
+        const auto c3 = row.find(',', c2 + 1);
+        out.push_back({std::stoull(row.substr(0, c1)),
+                       row.substr(c1 + 1, c2 - c1 - 1),
+                       row.substr(c2 + 1, c3 - c2 - 1),
+                       std::stoull(row.substr(c3 + 1))});
+    }
+    return out;
 }
 
 std::string
@@ -245,21 +274,11 @@ TEST(GoldenTrace, DdrMirrorAgreesWithCommandObserver)
     const std::string csv = runGoldenWorkload(&counter);
 
     std::vector<std::pair<Tick, Addr>> traced_reads, traced_writes;
-    std::istringstream rows(csv);
-    std::string row;
-    std::getline(rows, row); // header
-    while (std::getline(rows, row)) {
-        // tick,span,stage,address
-        const auto c1 = row.find(',');
-        const auto c2 = row.find(',', c1 + 1);
-        const auto c3 = row.find(',', c2 + 1);
-        const std::string stage = row.substr(c2 + 1, c3 - c2 - 1);
-        if (stage != "ddr_rd" && stage != "ddr_wr")
+    for (const Row &row : parseRows(csv)) {
+        if (row.stage != "ddr_rd" && row.stage != "ddr_wr")
             continue;
-        const Tick tick = std::stoull(row.substr(0, c1));
-        const Addr addr = std::stoull(row.substr(c3 + 1));
-        (stage == "ddr_rd" ? traced_reads : traced_writes)
-            .emplace_back(tick, addr);
+        (row.stage == "ddr_rd" ? traced_reads : traced_writes)
+            .emplace_back(row.tick, row.addr);
     }
 
     EXPECT_GT(counter.reads.size(), 0u);
@@ -280,27 +299,51 @@ TEST(GoldenTrace, EveryPipelineStagePresentWithForwardProgress)
     static const char *kStages[7] = {"flush",     "register", "copy",
                                      "transform", "stage",    "recycle",
                                      "use"};
-    std::istringstream rows(csv);
-    std::string row;
-    std::getline(rows, row);
-    while (std::getline(rows, row)) {
-        const auto c1 = row.find(',');
-        const auto c2 = row.find(',', c1 + 1);
-        const auto c3 = row.find(',', c2 + 1);
-        const Tick tick = std::stoull(row.substr(0, c1));
-        const std::string span = row.substr(c1 + 1, c2 - c1 - 1);
-        const std::string stage = row.substr(c2 + 1, c3 - c2 - 1);
-        if (span != "1")
+    for (const Row &row : parseRows(csv)) {
+        if (row.span != "1")
             continue;
         for (int i = 0; i < 7; ++i)
-            if (stage == kStages[i]) {
-                EXPECT_GT(tick, 0u) << stage << " at tick 0";
+            if (row.stage == kStages[i]) {
+                EXPECT_GT(row.tick, 0u) << row.stage << " at tick 0";
                 seen[i] = true;
             }
     }
     for (int i = 0; i < 7; ++i)
         EXPECT_TRUE(seen[i]) << "stage " << kStages[i]
                              << " missing from span 1";
+}
+
+TEST(GoldenTrace, CopyWindowSlidesAsEachLineLands)
+{
+    // The 4 KB TLS copy is unordered: it keeps eight line copies in
+    // flight and starts line 9 as soon as one of lines 1-8 lands, so
+    // line 9's rdCAS goes before the last of them has landed.
+    const std::vector<Row> rows = parseRows(runGoldenWorkload(nullptr));
+    Addr sbuf = ~Addr{0};
+    Addr dbuf = ~Addr{0};
+    for (const Row &row : rows) {
+        if (row.stage == "flush")
+            sbuf = std::min(sbuf, row.addr);
+        else if (row.stage == "copy")
+            dbuf = std::min(dbuf, row.addr);
+    }
+    constexpr unsigned kWindow = 8;
+    Tick line9_read = 0;
+    Tick window_landed = 0;
+    unsigned landed = 0;
+    for (const Row &row : rows) {
+        if (row.stage == "ddr_rd" &&
+            row.addr == sbuf + kWindow * kCacheLineSize && !line9_read)
+            line9_read = row.tick;
+        if (row.stage == "copy" &&
+            row.addr < dbuf + kWindow * kCacheLineSize) {
+            window_landed = std::max(window_landed, row.tick);
+            ++landed;
+        }
+    }
+    ASSERT_EQ(landed, kWindow);
+    ASSERT_NE(line9_read, 0u);
+    EXPECT_LT(line9_read, window_landed);
 }
 
 } // namespace

@@ -71,6 +71,9 @@ import pathlib
 import re
 import sys
 
+# One comment/literal blanker for both analyzers, so they read C++ alike.
+from sdlint import strip_comments_and_strings
+
 SRC_EXTS = {".h", ".cc"}
 
 # The self-test fixture corpus lives inside tests/ but is analyzer
@@ -85,67 +88,6 @@ def is_fixture(rel: str) -> bool:
 # --------------------------------------------------------------------------
 # Shared text utilities
 # --------------------------------------------------------------------------
-
-
-def strip_comments_and_strings(text: str) -> str:
-    """Blank out comments and string/char literals, preserving offsets
-    and newlines so line numbers and brace positions stay valid."""
-    out = []
-    i, n = 0, len(text)
-    state = "code"  # code | line | block | str | chr
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line"
-                out.append("  ")
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block"
-                out.append("  ")
-                i += 2
-                continue
-            if c == '"':
-                state = "str"
-                out.append(" ")
-                i += 1
-                continue
-            if c == "'":
-                state = "chr"
-                out.append(" ")
-                i += 1
-                continue
-            out.append(c)
-        elif state == "line":
-            if c == "\n":
-                state = "code"
-                out.append("\n")
-            elif c == "\\" and nxt == "\n":
-                out.append(" \n")
-                i += 2
-                continue
-            else:
-                out.append(" ")
-        elif state == "block":
-            if c == "*" and nxt == "/":
-                state = "code"
-                out.append("  ")
-                i += 2
-                continue
-            out.append("\n" if c == "\n" else " ")
-        else:  # str / chr
-            quote = '"' if state == "str" else "'"
-            if c == "\\":
-                out.append("  ")
-                i += 2
-                continue
-            if c == quote:
-                state = "code"
-            out.append(" ")
-        i += 1
-    return "".join(out)
 
 
 def line_of(text: str, pos: int) -> int:
@@ -1358,6 +1300,12 @@ SPAN_SELF_TESTS = [
      "  { int y = 0; (void)y; }\n"
      "  SD_SPAN_END(s,1);\n"
      "}", 0),
+    ("digit-separator-is-code",
+     "void f() {\n"
+     "  auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0);\n"
+     "  wait(100'000);\n"
+     "  SD_SPAN_END(s,1);\n"
+     "}", 0),  # a `'` opening a char literal would blank the END
     ("multiple-spans-one-leak",
      "void f() {\n"
      "  auto a = SD_SPAN_BEGIN(\"x\",0,0,0,0);\n"

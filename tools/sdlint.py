@@ -46,6 +46,18 @@ import sys
 SRC_EXTS = {".h", ".cc"}
 
 
+def is_digit_separator(text: str, i: int) -> bool:
+    """Whether the quote at text[i] separates digits (C++14 `100'000`,
+    `0xFF'FF`): it sits inside a number token, with an alphanumeric on
+    each side, rather than opening a char literal (`u8'0'` is one)."""
+    start = i
+    while start > 0 and (text[start - 1].isalnum()
+                         or text[start - 1] in "_'."):
+        start -= 1
+    return (start < i and text[start].isdigit() and i + 1 < len(text)
+            and text[i + 1].isalnum())
+
+
 def strip_comments_and_strings(text: str) -> str:
     """Blank out comments and string/char literals, preserving offsets
     and newlines so line numbers and brace positions stay valid."""
@@ -71,7 +83,7 @@ def strip_comments_and_strings(text: str) -> str:
                 out.append(" ")
                 i += 1
                 continue
-            if c == "'":
+            if c == "'" and not is_digit_separator(text, i):
                 state = "chr"
                 out.append(" ")
                 i += 1
@@ -458,6 +470,9 @@ SELF_TESTS = [
     ("cache/member_ok",
      "void f() { std::deque<smartdimm::BufferDevice> pool; }", ".cc",
      []),  # container element types are not construction sites
+    ("digit-separator",
+     "Tick t = 100'000; int r = rand(); char c = '\\''; int s = rand();",
+     ".cc", ["determinism", "determinism"]),  # `'` in 100'000 is code
 ]
 
 
