@@ -1,8 +1,8 @@
 /**
  * @file
- * Lightweight statistics primitives: scalar counters, averages and
- * fixed-bucket histograms, plus a registry so simulator components can
- * dump a named stats block after a run.
+ * Lightweight statistics primitives: scalar counters, gauges and
+ * linear- and log-bucket histograms. Components report them as named
+ * rows through trace::StatsBlock.
  */
 
 #ifndef SD_COMMON_STATS_H
@@ -10,12 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
-
-#include "common/thread_annotations.h"
 
 namespace sd {
 
@@ -56,37 +51,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** Running mean / min / max over a stream of samples. */
-class Average
-{
-  public:
-    /** Record one sample. */
-    void sample(double v);
-
-    /** Discard all samples. */
-    void reset();
-
-    /** @return number of recorded samples. */
-    std::uint64_t count() const { return count_; }
-
-    /** @return arithmetic mean, or 0 when empty. */
-    double
-    mean() const
-    {
-        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-    }
-
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double sum() const { return sum_; }
-
-  private:
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    std::uint64_t count_ = 0;
 };
 
 /**
@@ -228,36 +192,6 @@ class Gauge
   private:
     std::int64_t value_ = 0;
     std::int64_t peak_ = 0;
-};
-
-/**
- * Named stats block: components register scalar getters and the
- * harness dumps them at end of run, gem5-stats style. Thread-safe:
- * every member serialises on an internal mutex.
- */
-class StatsRegistry
-{
-  public:
-    /** Register a named scalar (latest value wins on duplicate name). */
-    void set(const std::string &name, double value);
-
-    /** @return a registered scalar, or @p fallback when absent. */
-    double get(const std::string &name, double fallback = 0.0) const;
-
-    /** Write `name value` rows sorted by name. */
-    void dump(std::ostream &os) const;
-
-    /** Drop everything. */
-    void
-    clear()
-    {
-        MutexLock lock(mu_);
-        scalars_.clear();
-    }
-
-  private:
-    mutable Mutex mu_;
-    std::map<std::string, double> scalars_ SD_GUARDED_BY(mu_);
 };
 
 } // namespace sd

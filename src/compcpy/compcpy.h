@@ -212,7 +212,8 @@ class CompCpyEngine
      * sequence (freePages check, Force-Recycle, flush, registration,
      * copy loop, trailer). Private by design — every op reaches the
      * engine through a WorkQueue, so the queue is the one execution
-     * path (tools/sdlint.py enforces the same at the source level).
+     * path (tools/sdcheck.py's queue-bypass rule enforces the same at
+     * the source level).
      * @p span is the trace span the owning queue opened at submit.
      */
     void startOp(const CompCpyParams &params, std::uint32_t span,

@@ -205,7 +205,7 @@ class MemoryController
     void kick();           ///< request a pass at the next clock edge
     /**
      * The coalesced wakeup helper: every scheduler wakeup flows
-     * through here (sdlint's wakeup-bypass rule enforces it). A
+     * through here (sdcheck's wakeup-bypass rule enforces it). A
      * request already covered by a pending pass at an earlier-or-
      * equal tick is dropped — the pass re-derives any later wakeup
      * it still needs: computed issue ticks never recede, and a pass

@@ -204,11 +204,9 @@ BufferDevice::registerTls(const std::uint8_t *data)
         return;
     }
 
-    if (!tag_only) {
+    if (!tag_only)
         sources_[reg.sbuf_page] =
-            SourceEntry{job, reg.dbuf_page, slot_id};
-        sbuf_message_[reg.sbuf_page] = reg.message_id;
-    }
+            SourceEntry{job, reg.dbuf_page, slot_id, reg.message_id};
     dests_[reg.dbuf_page] =
         DestEntry{job, tag_only ? 0 : reg.sbuf_page, *scratch};
     message_pages_[reg.message_id].push_back(reg.dbuf_page);
@@ -263,7 +261,8 @@ BufferDevice::registerDeflate(const std::uint8_t *data)
     auto job = std::make_shared<DeflateDsaJob>(
         reg.payload_bytes, deflate_config_, config_.dsa_line_latency,
         &dsa_stats_);
-    sources_[reg.sbuf_page] = SourceEntry{job, reg.dbuf_page, *slot};
+    sources_[reg.sbuf_page] =
+        SourceEntry{job, reg.dbuf_page, *slot, std::nullopt};
     dests_[reg.dbuf_page] = DestEntry{job, reg.sbuf_page, *scratch};
 
     ++stats_.registrations;
@@ -362,6 +361,7 @@ BufferDevice::feedDsa(std::uint64_t sbuf_page, unsigned line,
     // early rdCAS/wrCAS of the destination line sees S13/S7.
     auto job = entry.job;
     const std::uint64_t dbuf_page = entry.dbuf_page;
+    const std::optional<std::uint64_t> message = entry.tls_message;
     SD_TRACE_PAGE_EVENT(sbuf_page, trace::Stage::kTransform,
                         events_.now(),
                         sbuf_page * kPageSize + line * kCacheLineSize);
@@ -375,10 +375,8 @@ BufferDevice::feedDsa(std::uint64_t sbuf_page, unsigned line,
 
     // When a TLS record just completed, trailer/tag lines on *other*
     // destination pages of the same message become available too.
-    auto msg_it = sbuf_message_.find(sbuf_page);
-    if (msg_it != sbuf_message_.end()) {
-        const std::uint64_t message_id = msg_it->second;
-        auto pages_it = message_pages_.find(message_id);
+    if (message) {
+        auto pages_it = message_pages_.find(*message);
         if (pages_it != message_pages_.end()) {
             for (std::uint64_t page : pages_it->second) {
                 if (page == dbuf_page)
@@ -404,7 +402,6 @@ BufferDevice::retirePage(std::uint64_t dbuf_page)
         config_memory_.release(src->second.config_slot);
         translation_.erase(sbuf_page);
         sources_.erase(src);
-        sbuf_message_.erase(sbuf_page);
     }
     translation_.erase(dbuf_page);
     dests_.erase(it);

@@ -27,6 +27,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -160,6 +161,8 @@ class BufferDevice : public mem::DimmDevice
         std::shared_ptr<DsaJob> job;
         std::uint64_t dbuf_page = 0;   ///< physical page number
         std::uint32_t config_slot = 0;
+        /** The page's TLS record (message id); none for Deflate. */
+        std::optional<std::uint64_t> tls_message;
         std::uint64_t fed_lines = 0;   ///< bitmap: lines already tapped
     };
 
@@ -209,8 +212,6 @@ class BufferDevice : public mem::DimmDevice
      *  (tag-only) pages materialise when the record completes. */
     std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
         message_pages_;
-    /** Reverse index: sbuf page -> TLS message id. */
-    std::unordered_map<std::uint64_t, std::uint64_t> sbuf_message_;
 
     fault::FaultPlan *fault_plan_ = nullptr;
     fault::FaultScope fault_scope_;

@@ -6,8 +6,9 @@
  * address ranges and CompCpy engines. This factory replaces the
  * implicit single-instance MemorySystem/BufferDevice wiring: every
  * rig — benches, examples, the open-loop server model — builds its
- * system through a Topology, and tools/sdlint.py bans direct
- * construction elsewhere in src/.
+ * system through a Topology, and tools/sdcheck.py's
+ * topology-construction rule bans direct construction elsewhere in
+ * src/, bench/ and examples/.
  *
  * Address scheme (ChannelInterleave::kCapacity): channel c owns the
  * contiguous window [c * channel_bytes, +channel_bytes), and DIMM d

@@ -90,27 +90,6 @@ TEST(SharedLogHistogram, ConcurrentSamplesBalanceExactly)
     EXPECT_EQ(bucket_total, hist.count());
 }
 
-TEST(SharedStatsRegistry, CommonScalarRegistryRaces)
-{
-    StatsRegistry registry;
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&registry, t] {
-            const std::string name = "t" + std::to_string(t);
-            for (unsigned i = 0; i < 2000; ++i) {
-                registry.set(name, static_cast<double>(i));
-                (void)registry.get(name);
-                std::ostringstream sink;
-                registry.dump(sink);
-            }
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-    for (unsigned t = 0; t < kThreads; ++t)
-        EXPECT_EQ(registry.get("t" + std::to_string(t)), 1999.0);
-}
-
 TEST(SharedStatsRegistry, TraceRegistryAddRemoveCollectRaces)
 {
     trace::StatsRegistry registry;

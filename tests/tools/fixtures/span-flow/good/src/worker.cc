@@ -1,6 +1,6 @@
 // Fixture: span-flow/good — every SD_SPAN_BEGIN reaches an END on all
-// paths, including the branch-balanced if/else form the old linear
-// sdlint rule used to mis-flag.
+// paths, including the branch-balanced if/else form that a linear
+// begin/end count mis-flags.
 #include "trace/trace.h"
 
 namespace sd {

@@ -1,25 +1,54 @@
 #!/usr/bin/env python3
-"""sdcheck — AST-grade cross-module invariant analyzer for SmartDIMM.
+"""sdcheck — the SmartDIMM static analyzer for project invariants.
 
-Where tools/sdlint.py holds the cheap per-file text rules, sdcheck does
-the analyses a regex cannot: control-flow-aware dataflow inside
-function bodies and cross-translation-unit joins over registries that
-span src/, tests/ and bench/baselines/. It is driven by libclang over
-the CMake-exported compile_commands.json when the bindings are
-installed (the CI job installs python3-clang); without them it falls
-back to a conservative tokenizer with the same rule semantics, so
-developer machines never silently skip a rule.
+Checks contracts that generic tools (clang-tidy, compiler warnings)
+cannot express because they are *project* rules: per-file text rules,
+control-flow-aware dataflow inside function bodies, and cross-
+translation-unit joins over registries that span src/, tests/ and
+bench/baselines/. Function extents come from libclang over the
+CMake-exported compile_commands.json when the bindings are installed
+(the CI job installs python3-clang); without them a conservative
+tokenizer with the same rule semantics takes over, so developer
+machines never silently skip a rule. The text rules read no function
+extents, so both backends give them identical findings.
 
 Rule catalogue:
 
+  Text rules (per file; src/ only unless noted)
+  determinism     no rand()/srand()/std::random_device — all randomness
+                  flows through sd::Rng so runs replay bit-identically
+                  from a seed.
+  iostream        no `#include <iostream>` in a header — the static
+                  ios_base initialiser would land in every TU; sinks
+                  take std::ostream& instead.
+  guards          every header has an #ifndef SD_* include guard.
+  recoverable-assert
+                  per-file SD_ASSERT budgets in the fault-injected
+                  modules (RECOVERABLE_ASSERT_BASELINE): a new assert
+                  there is usually a panic on a recoverable path.
+  queue-bypass    CompCpyEngine::startOp() is the engine's private
+                  execution hook for WorkQueue; everything else goes
+                  through a queue (or the sync facade run()/start()),
+                  so there is one execution path.
+  wakeup-bypass   scheduler wakeups flow through requestPass(), which
+                  coalesces redundant passes; scheduling a
+                  schedulePass() lambda directly defeats that.
+  topology-construction
+                  MemorySystem/BufferDevice are constructed only by the
+                  topo::Topology factory, which owns the address
+                  windows, rebased MMIO bases, fault scopes and stat
+                  names. Also covers bench/ and examples/
+                  (production-shaped rigs); tests/ may wire bespoke
+                  rigs.
+
+  Flow and cross-module rules
   span-flow       every SD_SPAN_BEGIN reaches a matching SD_SPAN_END on
                   *all* paths through the function — early returns,
                   error branches, loops. A path-sensitive dataflow over
-                  a block tree replaces sdlint's old linear count (which
-                  both missed early-return leaks and mis-flagged the
-                  branch-balanced if/else form). Async flows that hand a
-                  span across functions use the raw Tracer API, which
-                  the rule deliberately ignores.
+                  a block tree, so the branch-balanced if/else form
+                  passes and an early-return leak does not. Async flows
+                  that hand a span across functions use the raw Tracer
+                  API, which the rule deliberately ignores.
   fault-coverage  every fault::Site enum member must be (a) injected
                   somewhere in src/ outside src/fault/, (b) named in the
                   kSiteNames stats table in positional (snake_case)
@@ -71,9 +100,6 @@ import pathlib
 import re
 import sys
 
-# One comment/literal blanker for both analyzers, so they read C++ alike.
-from sdlint import strip_comments_and_strings
-
 SRC_EXTS = {".h", ".cc"}
 
 # The self-test fixture corpus lives inside tests/ but is analyzer
@@ -90,8 +116,112 @@ def is_fixture(rel: str) -> bool:
 # --------------------------------------------------------------------------
 
 
+def is_digit_separator(text: str, i: int) -> bool:
+    """Whether the quote at text[i] separates digits (C++14 `100'000`,
+    `0xFF'FF`): it sits inside a number token, with an alphanumeric on
+    each side, rather than opening a char literal (`u8'0'` is one)."""
+    start = i
+    while start > 0 and (text[start - 1].isalnum()
+                         or text[start - 1] in "_'."):
+        start -= 1
+    return (start < i and text[start].isdigit() and i + 1 < len(text)
+            and text[i + 1].isalnum())
+
+
+def lex(text: str) -> tuple:
+    """The one C++ comment/literal scanner.
+
+    @return (clean, literals): `clean` is @p text with comments and
+    string/char literals blanked, offsets and newlines kept so line
+    numbers and brace positions stay valid; `literals` lists each
+    double-quoted literal's body with its offset."""
+    out = []
+    literals = []
+    i, n = 0, len(text)
+    state = "code"  # code | line | block | str | chr
+    start = 0
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if state == "code":
+            if c == "/" and nxt == "/":
+                state = "line"
+                out.append("  ")
+                i += 2
+                continue
+            if c == "/" and nxt == "*":
+                state = "block"
+                out.append("  ")
+                i += 2
+                continue
+            if c == '"':
+                state = "str"
+                start = i + 1
+                out.append(" ")
+                i += 1
+                continue
+            if c == "'" and not is_digit_separator(text, i):
+                state = "chr"
+                out.append(" ")
+                i += 1
+                continue
+            out.append(c)
+        elif state == "line":
+            if c == "\n":
+                state = "code"
+                out.append("\n")
+            elif c == "\\" and nxt == "\n":
+                out.append(" \n")
+                i += 2
+                continue
+            else:
+                out.append(" ")
+        elif state == "block":
+            if c == "*" and nxt == "/":
+                state = "code"
+                out.append("  ")
+                i += 2
+                continue
+            out.append("\n" if c == "\n" else " ")
+        else:  # str / chr
+            quote = '"' if state == "str" else "'"
+            if c == "\\":
+                out.append("  ")
+                i += 2
+                continue
+            if c == quote:
+                if state == "str":
+                    literals.append((text[start:i], start))
+                state = "code"
+            out.append(" ")
+        i += 1
+    return "".join(out), literals
+
+
+def strip_comments_and_strings(text: str) -> str:
+    return lex(text)[0]
+
+
+def string_literals(text: str) -> list:
+    """All double-quoted literals outside comments, with offsets."""
+    return lex(text)[1]
+
+
 def line_of(text: str, pos: int) -> int:
     return text.count("\n", 0, pos) + 1
+
+
+def _balanced_extent(text: str, open_pos: int) -> str:
+    """The text inside the parenthesis group opening at @p open_pos."""
+    depth = 0
+    for i in range(open_pos, len(text)):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return text[open_pos + 1:i]
+    return text[open_pos + 1:]
 
 
 def blank_preprocessor(clean: str) -> str:
@@ -102,61 +232,6 @@ def blank_preprocessor(clean: str) -> str:
         if ln.lstrip().startswith("#"):
             lines[idx] = ""
     return "\n".join(lines)
-
-
-def string_literals(text: str) -> list:
-    """All double-quoted literals with their offsets (comment-stripped
-    first so commented-out names don't count)."""
-    # Strip comments but keep strings: run the stripper but remember
-    # literal spans separately.
-    out = []
-    i, n = 0, len(text)
-    state = "code"
-    start = 0
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line"
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block"
-                i += 2
-                continue
-            if c == '"':
-                state = "str"
-                start = i + 1
-                i += 1
-                continue
-            if c == "'":
-                state = "chr"
-                i += 1
-                continue
-        elif state == "line":
-            if c == "\n":
-                state = "code"
-        elif state == "block":
-            if c == "*" and nxt == "/":
-                state = "code"
-                i += 2
-                continue
-        elif state == "str":
-            if c == "\\":
-                i += 2
-                continue
-            if c == '"':
-                out.append((text[start:i], start))
-                state = "code"
-        else:  # chr
-            if c == "\\":
-                i += 2
-                continue
-            if c == "'":
-                state = "code"
-        i += 1
-    return out
 
 
 def camel_to_snake(name: str) -> str:
@@ -206,6 +281,193 @@ class Finding:
 
     def __repr__(self):
         return f"{self.file}:{self.line}: [{self.rule}] {self.msg}"
+
+
+# --------------------------------------------------------------------------
+# Text rules — what one file's comment-stripped text can decide. Each
+# takes (rel, text, clean): the repo-relative path, the raw source and
+# its lex()-cleaned form.
+# --------------------------------------------------------------------------
+
+
+def module_path(rel: str) -> str:
+    """The last two path components ("mem/memory_controller.cc"): the
+    key of the per-file allowances below."""
+    return "/".join(rel.split("/")[-2:])
+
+
+RANDOM_RE = re.compile(r"\b(?:srand|rand)\s*\(|std\s*::\s*random_device")
+
+
+def check_determinism(rel: str, text: str, clean: str) -> list:
+    return [Finding("determinism", rel, line_of(clean, m.start()),
+                    re.sub(r"\s+", "", m.group(0)),
+                    f"'{m.group(0).strip()}' breaks replayability; "
+                    "use sd::Rng seeded from the config")
+            for m in RANDOM_RE.finditer(clean)]
+
+
+IOSTREAM_RE = re.compile(r"^\s*#\s*include\s*<iostream>", re.MULTILINE)
+
+
+def check_iostream(rel: str, text: str, clean: str) -> list:
+    if not rel.endswith(".h"):
+        return []
+    return [Finding("iostream", rel, line_of(clean, m.start()),
+                    "<iostream>",
+                    "<iostream> in a header drags the ios_base "
+                    "initialiser into every TU; take std::ostream& "
+                    "instead")
+            for m in IOSTREAM_RE.finditer(clean)]
+
+
+GUARD_RE = re.compile(r"^\s*#\s*ifndef\s+(SD_\w+)\s*$\s*^\s*#\s*define\s+\1\s*$",
+                      re.MULTILINE)
+
+
+def check_guards(rel: str, text: str, clean: str) -> list:
+    if not rel.endswith(".h") or GUARD_RE.search(text):
+        return []
+    return [Finding("guards", rel, 1, "include-guard",
+                    "header lacks an #ifndef SD_* include guard")]
+
+
+ASSERT_RE = re.compile(r"\bSD_ASSERT\s*\(")
+
+# Modules threaded with fault-injection sites (src/fault): code here
+# runs under the chaos soak, so a *new* SD_ASSERT is usually a panic on
+# a recoverable path — prefer a degraded-mode completion (kDegraded,
+# rejected registration, bounded retry) and a stat. The per-file counts
+# below baseline the asserts that guard genuine programming errors;
+# raise a file's count only when the new assert is one of those.
+RECOVERABLE_ASSERT_BASELINE = {
+    "mem/address_map.cc": 3,  # construction-time geometry invariants
+    "mem/cxl_link.cc": 2,  # construction-time link-config invariants
+    "mem/bank_state.h": 1,
+    "mem/dimm_mux.h": 2,  # chip-select decode of a malformed coord
+    "mem/memory_controller.cc": 2,
+    "smartdimm/buffer_device.cc": 3,
+    "smartdimm/config_memory.cc": 4,
+    "smartdimm/cuckoo_table.cc": 1,
+    "smartdimm/deflate_dsa.cc": 4,
+    "smartdimm/scratchpad.cc": 9,
+    "smartdimm/tls_dsa.cc": 4,
+    "smartdimm/bank_table.h": 1,
+    "compcpy/compcpy.cc": 3,
+    "compcpy/offload_engine.cc": 2,
+    "compcpy/queue.cc": 5,
+    "compcpy/driver.h": 2,
+    "net/tcp_stream.cc": 1,
+}
+INJECTED_MODULES = ("mem", "smartdimm", "compcpy", "net")
+
+
+def check_recoverable_assert(rel: str, text: str, clean: str) -> list:
+    parts = rel.split("/")
+    if len(parts) < 2 or parts[-2] not in INJECTED_MODULES:
+        return []
+    module = module_path(rel)
+    asserts = list(ASSERT_RE.finditer(clean))
+    allowed = RECOVERABLE_ASSERT_BASELINE.get(module, 0)
+    if len(asserts) <= allowed:
+        return []
+    return [Finding(
+        "recoverable-assert", rel, line_of(clean, asserts[-1].start()),
+        "SD_ASSERT",
+        f"{module} has {len(asserts)} SD_ASSERT(s), baseline {allowed}: "
+        "this module runs under fault injection — handle the failure as "
+        "a degraded mode (retry/reject/kDegraded + stat) or, for a "
+        "genuine invariant, raise the baseline in sdcheck.py")]
+
+
+QUEUE_BYPASS_RE = re.compile(r"\bstartOp\s*\(")
+
+# startOp() is CompCpyEngine's private execution hook; only the queue
+# (which owns dispatch ordering) and the engine itself (declaration +
+# sync facade) may name it. Any other call site is skipping descriptor
+# accounting, completion records and the per-queue fallback decision.
+QUEUE_BYPASS_ALLOWED = {
+    "compcpy/compcpy.h",
+    "compcpy/compcpy.cc",
+    "compcpy/queue.cc",
+}
+
+
+def check_queue_bypass(rel: str, text: str, clean: str) -> list:
+    if module_path(rel) in QUEUE_BYPASS_ALLOWED:
+        return []
+    return [Finding("queue-bypass", rel, line_of(clean, m.start()),
+                    "startOp",
+                    "startOp() bypasses the work-queue front end; submit "
+                    "a Descriptor through a WorkQueue (or the sync facade "
+                    "run()/start()) so the call is accounted and reaped")
+            for m in QUEUE_BYPASS_RE.finditer(clean)]
+
+
+SCHEDULE_CALL_RE = re.compile(r"\bschedule(?:In)?\s*\(")
+
+# requestPass() is the only place allowed to put a schedulePass() event
+# on the queue: it owns the pending-pass flag, the pass epoch and the
+# wakeups_requested/coalesced accounting. The baseline covers its two
+# legitimate schedule sites (uncoalesced reference mode + the epoch-
+# guarded coalesced path). A site is a schedule call whose whole
+# argument list names schedulePass, lambda bodies included.
+WAKEUP_BYPASS_BASELINE = {
+    "mem/memory_controller.cc": 2,
+}
+
+
+def check_wakeup_bypass(rel: str, text: str, clean: str) -> list:
+    allowed = WAKEUP_BYPASS_BASELINE.get(module_path(rel), 0)
+    sites = [m for m in SCHEDULE_CALL_RE.finditer(clean)
+             if re.search(r"\bschedulePass\b",
+                          _balanced_extent(clean, m.end() - 1))]
+    return [Finding("wakeup-bypass", rel, line_of(clean, m.start()),
+                    "schedulePass",
+                    "scheduling schedulePass() directly bypasses "
+                    "requestPass() wakeup coalescing; call "
+                    "requestPass(when) instead (or, for a new legitimate "
+                    "site inside it, raise the baseline in sdcheck.py)")
+            for m in sites[allowed:]]
+
+
+TOPOLOGY_CTOR_RE = re.compile(
+    r"\bnew\s+(?:[\w:]+\s*::\s*)?(MemorySystem|BufferDevice)\b"
+    r"|\bmake_unique\s*<\s*[\w:]*(MemorySystem|BufferDevice)\s*>"
+    r"|\b(MemorySystem|BufferDevice)\s+\w+\s*[({]")
+
+# The factory is the only place allowed to construct the platform
+# devices: it computes the per-slot capacity windows, rebases each
+# device's MMIO base into its slot, threads fault scopes and keeps the
+# per-device stat names consistent. A hand-wired rig silently gets one
+# global MMIO window and unscoped faults. (References, pointers and
+# template parameters don't match — only construction does.)
+TOPOLOGY_CTOR_ALLOWED = {
+    "topo/topology.h",
+    "topo/topology.cc",
+}
+
+
+def check_topology_construction(rel: str, text: str, clean: str) -> list:
+    if module_path(rel) in TOPOLOGY_CTOR_ALLOWED:
+        return []
+    return [Finding("topology-construction", rel,
+                    line_of(clean, m.start()), m.group(m.lastindex),
+                    "construct MemorySystem/BufferDevice through the "
+                    "topo::Topology factory (topo/topology.h): it owns "
+                    "the address windows, rebased MMIO bases, fault "
+                    "scopes and stat names; only tests may wire bespoke "
+                    "rigs")
+            for m in TOPOLOGY_CTOR_RE.finditer(clean)]
+
+
+TEXT_RULES = [check_determinism, check_iostream, check_guards,
+              check_recoverable_assert, check_queue_bypass,
+              check_wakeup_bypass, check_topology_construction]
+
+
+def check_text(rel: str, text: str, clean: str) -> list:
+    return [f for rule in TEXT_RULES for f in rule(rel, text, clean)]
 
 
 # --------------------------------------------------------------------------
@@ -629,8 +891,10 @@ class _SpanFlow:
 
 def check_span_flow(path_label: str, clean: str, functions,
                     findings: list):
+    """@param functions maps preprocessor-blanked text to its
+    FunctionBody list (one backend's extents for this file)."""
     body_clean = blank_preprocessor(clean)
-    for fn in functions(None, body_clean):
+    for fn in functions(body_clean):
         _SpanFlow(fn, body_clean, path_label, findings).run()
 
 
@@ -667,14 +931,9 @@ def check_fault_coverage(root: pathlib.Path, findings: list,
 
     names = []
     if fault_cc.is_file():
-        clean_cc = strip_comments_and_strings(read(fault_cc))
-        # String literals are blanked by the stripper, so re-read them
-        # from the raw text inside the array extent.
-        raw_cc = read(fault_cc)
-        am = SITE_NAMES_ARRAY_RE.search(raw_cc)
+        am = SITE_NAMES_ARRAY_RE.search(read(fault_cc))
         if am:
             names = [lit for lit, _ in string_literals(am.group(1))]
-        del clean_cc
 
     # Positional snake_case agreement between enum and names table.
     if len(names) != len(members):
@@ -1078,18 +1337,6 @@ UNIT_OK_RE = re.compile(r"kCacheLineSize|kLineBits|kPageSize|kPageBits"
                         r"|kLinesPerPage|kPageLineBits")
 
 
-def _balanced_extent(text: str, open_pos: int) -> str:
-    depth = 0
-    for i in range(open_pos, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[open_pos + 1:i]
-    return text[open_pos + 1:]
-
-
 def check_addr_arith(root: pathlib.Path, findings: list, read=None,
                      audited=ADDR_AUDITED):
     read = read or (lambda p: p.read_text())
@@ -1160,21 +1407,27 @@ def run_analysis(root: pathlib.Path, build: pathlib.Path,
     functions, backend = make_backend(root, build, regex_only)
     findings = []
 
-    # Per-file rule: span-flow over every src/ translation unit.
+    # Per-file rules over every src/ translation unit: the text rules
+    # and span-flow.
     for path in sorted((root / "src").rglob("*")):
         if path.suffix not in SRC_EXTS or not path.is_file():
             continue
         rel = path.relative_to(root).as_posix()
-        clean = strip_comments_and_strings(path.read_text())
-        if backend == "libclang":
-            fns = functions(path, blank_preprocessor(clean))
-            for fn in fns:
-                _SpanFlow(fn, blank_preprocessor(clean), rel,
-                          findings).run()
-        else:
-            check_span_flow(rel, clean,
-                            lambda _p, c: extract_functions_regex(c),
-                            findings)
+        text = path.read_text()
+        clean = strip_comments_and_strings(text)
+        findings.extend(check_text(rel, text, clean))
+        check_span_flow(rel, clean, lambda c, p=path: functions(p, c),
+                        findings)
+    # bench/ and examples/ build production-shaped rigs, so the
+    # topology-construction rule (and only it) extends there; tests/
+    # stay free to wire bespoke rigs.
+    for sub in ("bench", "examples"):
+        for path in sorted((root / sub).rglob("*")):
+            if path.suffix in SRC_EXTS | {".cpp"} and path.is_file():
+                text = path.read_text()
+                findings.extend(check_topology_construction(
+                    path.relative_to(root).as_posix(), text,
+                    strip_comments_and_strings(text)))
 
     # Cross-module rules.
     fault_summary = check_fault_coverage(root, findings)
@@ -1315,8 +1568,106 @@ SPAN_SELF_TESTS = [
 ]
 
 
-def _fixture_tree_reader(base: pathlib.Path):
-    return lambda p: pathlib.Path(p).read_text()
+TEXT_SELF_TESTS = [
+    # (name, source, suffix, expected rule names). A "/" in the name
+    # makes it the file's path, so path-keyed rules see a module.
+    ("rand-call", "int f() { return rand(); }", ".cc", ["determinism"]),
+    ("srand-call", "void f() { srand(42); }", ".cc", ["determinism"]),
+    ("random-device", "#include <random>\nstd::random_device rd;", ".cc",
+     ["determinism"]),
+    ("rand-in-comment", "// rand() is banned\nint f() { return 0; }", ".cc",
+     []),
+    ("rand-in-string",
+     '#ifndef SD_X_H\n#define SD_X_H\nconst char *k = "rand()";\n#endif',
+     ".h", []),
+    ("rand-substring", "int grand() { return strand(); }", ".cc", []),
+    # Span balance is span-flow's job; no text rule reports it.
+    ("span-now-sdcheck",
+     "void f() { auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0); }", ".cc", []),
+    ("iostream-header",
+     "#ifndef SD_A_H\n#define SD_A_H\n#include <iostream>\n#endif", ".h",
+     ["iostream"]),
+    ("iostream-impl", "#include <iostream>\nint x;", ".cc", []),
+    # The register map is mmio-map's job; no text rule reports it.
+    ("mmio-now-sdcheck",
+     "#ifndef SD_C_H\n#define SD_C_H\n"
+     "enum class MmioReg : unsigned { kA = 0x00, kB = 0x44, kC = 0x3 };\n"
+     "#endif", ".h", []),
+    ("guard-missing", "int x;", ".h", ["guards"]),
+    # recoverable-assert
+    ("mem/new_unit", "void f() { SD_ASSERT(x, \"boom\"); }", ".cc",
+     ["recoverable-assert"]),
+    ("mem/memory_controller",
+     "void f() { SD_ASSERT(a, \"x\"); SD_ASSERT(b, \"y\"); }", ".cc",
+     []),  # within baseline
+    ("mem/memory_controller",
+     "void f() { SD_ASSERT(a, \"x\"); SD_ASSERT(b, \"y\"); "
+     "SD_ASSERT(c, \"z\"); }", ".cc",
+     ["recoverable-assert"]),  # above baseline
+    ("trace/trace", "void f() { SD_ASSERT(x, \"fine\"); }", ".cc",
+     []),  # not an injected module
+    ("mem/new_unit2", "// SD_ASSERT(x) would be wrong here\nint x;",
+     ".cc", []),  # comments don't count
+    # queue-bypass
+    ("compcpy/rogue_caller", "void f() { engine.startOp(p, s, cb); }",
+     ".cc", ["queue-bypass"]),
+    ("compcpy/queue", "void f() { engine_.startOp(p, s, cb); }", ".cc",
+     []),  # the queue is the blessed dispatcher
+    ("compcpy/compcpy", "void f() { startOp(p, s, cb); }", ".cc",
+     []),  # the engine's own sync facade
+    ("smartdimm/rogue2", "// startOp() is off limits\nint x;", ".cc",
+     []),  # comments don't count
+    # wakeup-bypass
+    ("mem/rogue_scheduler",
+     "void f() { events_.schedule(t, [this] { schedulePass(); }); }",
+     ".cc", ["wakeup-bypass"]),
+    ("mem/rogue_scheduler2",
+     "void f() { events_.scheduleIn(5, [this] { schedulePass(); }); }",
+     ".cc", ["wakeup-bypass"]),
+    ("mem/memory_controller",
+     "void a() { events_.schedule(t, [this] { schedulePass(); }); }\n"
+     "void b() { events_.schedule(t, [this, e] { schedulePass(); }); }",
+     ".cc", []),  # requestPass()'s two blessed sites
+    ("mem/memory_controller",
+     "void a() { events_.schedule(t, [this] { schedulePass(); }); }\n"
+     "void b() { events_.schedule(t, [this, e] { schedulePass(); }); }\n"
+     "void c() { events_.schedule(t, [this] { schedulePass(); }); }",
+     ".cc", ["wakeup-bypass"]),  # a third site is flagged
+    ("mem/rogue_guarded",
+     "void f() { events_.schedule(t, [this, e] {\n"
+     "  if (e != epoch_) return;\n  schedulePass(); }); }",
+     ".cc", ["wakeup-bypass"]),  # a `;` in the lambda hides nothing
+    ("mem/ok_request", "void f() { requestPass(clock_.nextEdge(now)); }",
+     ".cc", []),  # the blessed entry point
+    ("mem/comment_only", "// events_.schedule(t, schedulePass) is banned\n",
+     ".cc", []),  # comments don't count
+    # topology-construction
+    ("cache/rogue_rig",
+     "void f() { cache::MemorySystem memory(e, g, i, c, d); }", ".cc",
+     ["topology-construction"]),
+    ("smartdimm/rogue_dimm",
+     "void f() { smartdimm::BufferDevice dimm(e, m, s); }", ".cc",
+     ["topology-construction"]),
+    ("app/rogue_ptr",
+     "auto m = std::make_unique<cache::MemorySystem>(a, b);", ".cc",
+     ["topology-construction"]),
+    ("app/rogue_new",
+     "auto *d = new smartdimm::BufferDevice(a, b, c);", ".cc",
+     ["topology-construction"]),
+    ("topo/topology",
+     "void f() { cache::MemorySystem memory(a, b); }", ".cc",
+     []),  # the factory itself is the blessed construction site
+    ("cache/ref_ok",
+     "void f(cache::MemorySystem &m, smartdimm::BufferDevice *d) "
+     "{ m.writeSync(0, p, n); }", ".cc",
+     []),  # references and pointers are uses, not construction
+    ("cache/member_ok",
+     "void f() { std::deque<smartdimm::BufferDevice> pool; }", ".cc",
+     []),  # container element types are not construction sites
+    ("digit-separator",
+     "Tick t = 100'000; int r = rand(); char c = '\\''; int s = rand();",
+     ".cc", ["determinism", "determinism"]),  # `'` in 100'000 is code
+]
 
 
 def run_fixture(root: pathlib.Path, rule: str) -> list:
@@ -1327,9 +1678,7 @@ def run_fixture(root: pathlib.Path, rule: str) -> list:
             if path.suffix in SRC_EXTS and path.is_file():
                 clean = strip_comments_and_strings(path.read_text())
                 check_span_flow(path.relative_to(root).as_posix(),
-                                clean,
-                                lambda _p, c: extract_functions_regex(c),
-                                findings)
+                                clean, extract_functions_regex, findings)
     elif rule == "fault-coverage":
         check_fault_coverage(root, findings)
     elif rule == "stat-registry":
@@ -1355,8 +1704,7 @@ def self_test(repo_root: pathlib.Path) -> int:
         findings = []
         clean = strip_comments_and_strings(source)
         check_span_flow(f"<self-test:{name}>", clean,
-                        lambda _p, c: extract_functions_regex(c),
-                        findings)
+                        extract_functions_regex, findings)
         got = len(findings)
         if got != expected:
             failures += 1
@@ -1367,31 +1715,46 @@ def self_test(repo_root: pathlib.Path) -> int:
         else:
             print(f"ok   span-flow/{name}")
 
-    # 2. On-disk fixtures: tests/tools/fixtures/<rule>/{good,bad}/ —
+    # 2. Embedded text-rule corpus.
+    for name, source, suffix, expected in TEXT_SELF_TESTS:
+        rel = name + suffix if "/" in name else \
+            f"<self-test:{name}>{suffix}"
+        findings = check_text(rel, source,
+                              strip_comments_and_strings(source))
+        got = sorted(f.rule for f in findings)
+        if got != sorted(expected):
+            failures += 1
+            print(f"FAIL text/{name}: expected {sorted(expected)}, "
+                  f"got {got}")
+            for f in findings:
+                print(f"    {f}")
+        else:
+            print(f"ok   text/{name}")
+
+    # 3. On-disk fixtures: tests/tools/fixtures/<rule>/{good,bad}*/ —
     # good trees must be clean, bad trees must raise >= 1 finding of
-    # their rule.
+    # their rule. Each rule has at least one of each.
     fixtures = repo_root / "tests" / "tools" / "fixtures"
     if fixtures.is_dir():
         for rule_dir in sorted(fixtures.iterdir()):
             if not rule_dir.is_dir():
                 continue
             rule = rule_dir.name.replace("_", "-")
+            trees = [t for t in sorted(rule_dir.iterdir()) if t.is_dir()]
             for kind in ("good", "bad"):
-                tree = rule_dir / kind
-                if not tree.is_dir():
+                if not any(t.name.startswith(kind) for t in trees):
                     failures += 1
                     print(f"FAIL fixture {rule}/{kind}: missing tree")
-                    continue
+            for tree in trees:
+                good = tree.name.startswith("good")
                 findings = run_fixture(tree, rule)
                 rule_findings = [f for f in findings if f.rule == rule]
-                ok = (not rule_findings) if kind == "good" else \
-                    bool(rule_findings)
-                if ok:
-                    print(f"ok   fixture {rule}/{kind} "
+                if good != bool(rule_findings):
+                    print(f"ok   fixture {rule}/{tree.name} "
                           f"({len(rule_findings)} finding(s))")
                 else:
                     failures += 1
-                    print(f"FAIL fixture {rule}/{kind}: "
+                    print(f"FAIL fixture {rule}/{tree.name}: "
                           f"{len(rule_findings)} {rule} finding(s)")
                     for f in findings:
                         print(f"    {f}")
@@ -1399,7 +1762,7 @@ def self_test(repo_root: pathlib.Path) -> int:
         failures += 1
         print(f"FAIL fixtures directory missing: {fixtures}")
 
-    # 3. Baseline mechanics.
+    # 4. Baseline mechanics.
     fs = [Finding("r", "f.cc", 1, "ctx", "m"),
           Finding("r", "f.cc", 2, "ctx", "m"),
           Finding("r2", "g.cc", 3, "other", "m")]
